@@ -1,14 +1,6 @@
 """Finite-automata substrate: symbolic ε-NFAs, DFAs, and their algebra."""
 
 from .alphabet import ASCII_PRINTABLE, BYTE_ALPHABET, Alphabet
-from .backend import (
-    AutomataBackend,
-    active_backend,
-    available_backends,
-    get_backend,
-    register_backend,
-    use_backend,
-)
 from .analysis import (
     count_strings,
     enumerate_strings,
@@ -57,12 +49,6 @@ __all__ = [
     "Alphabet",
     "BYTE_ALPHABET",
     "ASCII_PRINTABLE",
-    "AutomataBackend",
-    "active_backend",
-    "available_backends",
-    "get_backend",
-    "register_backend",
-    "use_backend",
     "CharSet",
     "minterms",
     "Nfa",

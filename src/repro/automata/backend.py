@@ -1,256 +1,22 @@
-"""The automata backend protocol: pluggable kernels for the hot paths.
+"""The automata kernel set, as named in run records.
 
-Per the observability spans, ``determinize``, ``product``, and Hopcroft
-minimization dominate solver wall time.  This module factors those
-kernels behind a small protocol so they can be swapped without touching
-any call site:
-
-* :class:`ReferenceBackend` — the original dict-of-dicts kernels in
-  :mod:`repro.automata.dfa` and :mod:`repro.automata.ops`.  Simple,
-  readable, and the semantic baseline every other backend is
-  property-tested against.
-* :class:`~repro.automata.bitset.BitsetBackend` (name ``"bitset"``) —
-  vectorized kernels over Python ``int`` bitmasks: NFA state sets are
-  single integers, transition relations are per-minterm bitset rows,
-  subset construction and inclusion run by bitwise frontier
-  propagation, and Hopcroft refines integer partition arrays.
-
-Selection is scoped like the language cache (:mod:`repro.cache`): a
-context variable consulted by the instrumented entry points in
-``dfa``/``ops``/``equivalence``, installed for a dynamic extent with
-:func:`use_backend`.  When no backend is installed, the
-``DPRLE_BACKEND`` environment variable names the default; unset means
-``"reference"``.  `RegLangSolver(backend=...)`, ``GciLimits.backend``,
-and the CLI ``--backend`` flag all funnel into this module.
-
-Backends must be *stateless* (all per-call state lives in compiled
-views of the operand machines): instances are shared across solves and
-across the multiprocess worker pool, which re-installs the parent's
-backend by name in every worker task.
-
-Semantics contract (property-tested in ``tests/backend/``):
-
-* ``determinize``/``minimize_dfa``/``complement`` must be
-  language-faithful; the minimal DFA is canonical, so language
-  signatures (:mod:`repro.cache`) are identical across backends and
-  cached results stay backend-portable.
-* ``product`` must be *structure*-faithful: the same states in the
-  same intern order, the same edges with the same bridge tags and
-  provenance, because the GCI procedure reads bridge-crossing
-  structure off its output.
-* ``is_empty``/``is_subset`` are plain boolean oracles.
-* ``left_quotient`` must be language-faithful; its output is only
-  ever consumed as a language (Galois maximization, signatures), so a
-  backend may merge transitions that share a destination.
-
-See ``docs/BACKENDS.md`` for the full contract and for how to add a
-native (Rust/C) backend behind the same protocol.
+dprle has one kernel per operation: the bitset kernels in
+:mod:`repro.automata.bitset` for determinize, Hopcroft, product and
+the universal left quotient, and the lazy inclusion check in
+:mod:`repro.automata.equivalence`.  Benchmarks record
+``active_backend().name`` next to their numbers; ``docs/BACKENDS.md``
+states the contract each kernel keeps.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from contextvars import ContextVar
-from typing import TYPE_CHECKING, Callable, Iterator, Optional, Protocol, Union
+from types import ModuleType
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from .dfa import Dfa
-    from .nfa import Nfa
+from . import bitset
 
-__all__ = [
-    "AutomataBackend",
-    "ReferenceBackend",
-    "available_backends",
-    "register_backend",
-    "get_backend",
-    "active_backend",
-    "use_backend",
-    "BACKEND_ENV",
-]
-
-#: Environment variable naming the process-wide default backend.
-BACKEND_ENV = "DPRLE_BACKEND"
+__all__ = ["active_backend"]
 
 
-class AutomataBackend(Protocol):
-    """The kernel set a backend must provide.
-
-    All operations receive and return the shared
-    :class:`~repro.automata.nfa.Nfa` / :class:`~repro.automata.dfa.Dfa`
-    types over the shared :class:`~repro.automata.alphabet.Alphabet`
-    and :class:`~repro.automata.charset.CharSet`; a backend is free to
-    compile them into any internal representation it likes, but the
-    boundary types never change.
-    """
-
-    name: str
-
-    def determinize(self, nfa: "Nfa") -> "Dfa":
-        """Subset construction producing a complete DFA."""
-        ...
-
-    def minimize_dfa(self, dfa: "Dfa") -> "Dfa":
-        """Hopcroft minimization of a complete DFA."""
-        ...
-
-    def product(
-        self, a: "Nfa", b: "Nfa"
-    ) -> tuple["Nfa", dict[int, tuple[int, int]]]:
-        """Cross-product intersection with provenance (structure-faithful)."""
-        ...
-
-    def complement(self, nfa: "Nfa") -> "Nfa":
-        """The NFA for ``Σ* \\ L(nfa)``."""
-        ...
-
-    def is_empty(self, nfa: "Nfa") -> bool:
-        """True iff ``L(nfa)`` is empty."""
-        ...
-
-    def is_subset(self, a: "Nfa", b: "Nfa") -> bool:
-        """Decide ``L(a) ⊆ L(b)``."""
-        ...
-
-    def left_quotient(self, prefixes: "Nfa", language: "Nfa") -> "Nfa":
-        """The universal left quotient (language-faithful).
-
-        Backends may merge same-destination transitions, so two
-        backends' outputs are language-equal but not necessarily
-        structurally identical; callers must treat the result as a
-        language, never read structure off it.
-        """
-        ...
-
-
-class ReferenceBackend:
-    """The original pure-Python dict-of-dicts kernels.
-
-    Every method delegates to the historical implementation; this class
-    only gives them a protocol-shaped home.  It is the semantic
-    baseline: other backends are property-tested against it.
-    """
-
-    name = "reference"
-
-    def determinize(self, nfa: "Nfa") -> "Dfa":
-        from .dfa import _determinize
-
-        return _determinize(nfa)
-
-    def minimize_dfa(self, dfa: "Dfa") -> "Dfa":
-        from .dfa import _minimize_dfa
-
-        return _minimize_dfa(dfa)
-
-    def product(
-        self, a: "Nfa", b: "Nfa"
-    ) -> tuple["Nfa", dict[int, tuple[int, int]]]:
-        from .ops import _product_reference
-
-        return _product_reference(a, b)
-
-    def complement(self, nfa: "Nfa") -> "Nfa":
-        return self.determinize(nfa).complemented().to_nfa()
-
-    def is_empty(self, nfa: "Nfa") -> bool:
-        return nfa.is_empty()
-
-    def is_subset(self, a: "Nfa", b: "Nfa") -> bool:
-        from .equivalence import counterexample
-
-        return counterexample(a, b) is None
-
-    def left_quotient(self, prefixes: "Nfa", language: "Nfa") -> "Nfa":
-        from .ops import _left_quotient
-
-        return _left_quotient(prefixes, language)
-
-
-# -- the registry ------------------------------------------------------------
-
-_factories: dict[str, Callable[[], AutomataBackend]] = {}
-_instances: dict[str, AutomataBackend] = {}
-
-
-def register_backend(name: str, factory: Callable[[], AutomataBackend]) -> None:
-    """Register a backend under ``name`` (how a native drop-in plugs in)."""
-    if name in _factories:
-        raise ValueError(f"automata backend {name!r} is already registered")
-    _factories[name] = factory
-
-
-def available_backends() -> list[str]:
-    """The registered backend names, sorted."""
-    return sorted(_factories)
-
-
-def get_backend(name: str) -> AutomataBackend:
-    """The (shared, stateless) backend instance registered under ``name``."""
-    instance = _instances.get(name)
-    if instance is not None:
-        return instance
-    factory = _factories.get(name)
-    if factory is None:
-        raise ValueError(
-            f"unknown automata backend {name!r} "
-            f"(available: {', '.join(available_backends())})"
-        )
-    instance = factory()
-    _instances[name] = instance
-    return instance
-
-
-def _make_bitset() -> AutomataBackend:
-    from .bitset import BitsetBackend
-
-    return BitsetBackend()
-
-
-register_backend("reference", ReferenceBackend)
-register_backend("bitset", _make_bitset)
-
-
-# -- the contextvar scope ----------------------------------------------------
-
-_active: ContextVar[Optional[AutomataBackend]] = ContextVar(
-    "dprle_automata_backend", default=None
-)
-
-
-def active_backend() -> AutomataBackend:
-    """The backend for the current dynamic extent.
-
-    Resolution order: explicitly installed backend (:func:`use_backend`)
-    → the ``DPRLE_BACKEND`` environment variable → ``"reference"``.
-    A bad environment value raises, loudly — silently falling back
-    would let a typo masquerade as a measurement of the named backend.
-    """
-    current = _active.get()
-    if current is not None:
-        return current
-    env = os.environ.get(BACKEND_ENV, "").strip()
-    if env:
-        return get_backend(env)
-    return get_backend("reference")
-
-
-@contextmanager
-def use_backend(
-    backend: Union[str, AutomataBackend, None],
-) -> Iterator[AutomataBackend]:
-    """Install ``backend`` (a name or an instance) for the block.
-
-    ``None`` is a no-op that yields the currently active backend, so
-    callers can wrap unconditionally (`with use_backend(limits.backend)`).
-    """
-    if backend is None:
-        yield active_backend()
-        return
-    if isinstance(backend, str):
-        backend = get_backend(backend)
-    token = _active.set(backend)
-    try:
-        yield backend
-    finally:
-        _active.reset(token)
+def active_backend() -> ModuleType:
+    """The kernel set every automata operation runs on."""
+    return bitset

@@ -11,13 +11,13 @@ partition of the alphabet universe.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .. import obs
 from ..cache import active_cache
+from . import bitset
 from .alphabet import Alphabet
-from .backend import active_backend
-from .charset import CharSet, minterms
+from .charset import CharSet
 from .nfa import Nfa
 
 __all__ = ["Dfa", "determinize", "complement", "minimize_dfa", "minimize_nfa"]
@@ -138,64 +138,10 @@ def determinize(nfa: Nfa) -> Dfa:
 
 def _determinize_instrumented(nfa: Nfa) -> Dfa:
     obs.count_operation("determinize")
-    backend = active_backend()
-    with obs.span(
-        "determinize", states_in=nfa.num_states, backend=backend.name
-    ) as sp:
-        dfa = backend.determinize(nfa)
+    with obs.span("determinize", states_in=nfa.num_states) as sp:
+        dfa = bitset.determinize(nfa)
         sp.set("states_out", dfa.num_states)
         return dfa
-
-
-def _determinize(nfa: Nfa) -> Dfa:
-    alphabet = nfa.alphabet
-    universe = alphabet.universe
-
-    start_set = nfa.epsilon_closure(nfa.starts)
-    ids: dict[frozenset[int], int] = {start_set: 0}
-    order: list[frozenset[int]] = [start_set]
-    transitions: dict[int, list[tuple[CharSet, int]]] = {}
-    finals: set[int] = set()
-    sink: Optional[int] = None
-
-    def intern(subset: frozenset[int]) -> int:
-        if subset not in ids:
-            ids[subset] = len(order)
-            order.append(subset)
-        return ids[subset]
-
-    index = 0
-    while index < len(order):
-        subset = order[index]
-        state_id = ids[subset]
-        index += 1
-        obs.visit_states(len(subset))
-        if subset & nfa.finals:
-            finals.add(state_id)
-        labels = nfa.labels_from(subset)
-        moves: list[tuple[CharSet, int]] = []
-        covered = CharSet.empty()
-        by_target: dict[int, CharSet] = {}
-        for block in minterms(labels):
-            rep = block.min_char()
-            target = frozenset(nfa.step(subset, rep))
-            target_id = intern(target)
-            by_target[target_id] = by_target.get(target_id, CharSet.empty()) | block
-            covered = covered | block
-        rest = universe - covered
-        if not rest.is_empty():
-            if sink is None:
-                sink_set = frozenset()
-                sink = intern(sink_set)
-            by_target[sink] = by_target.get(sink, CharSet.empty()) | rest
-        moves = sorted(by_target.items(), key=lambda kv: kv[0])
-        transitions[state_id] = [(label, dst) for dst, label in moves]
-
-    # The sink (if created) may not have been expanded yet; complete it.
-    for state_id in range(len(order)):
-        if state_id not in transitions:
-            transitions[state_id] = [(universe, state_id)]
-    return Dfa(alphabet, transitions, 0, finals)
 
 
 def complement(nfa: Nfa) -> Nfa:
@@ -218,112 +164,16 @@ def minimize_dfa(dfa: Dfa) -> Dfa:
     """Hopcroft's partition-refinement minimization.
 
     Symbolic labels are first globally mintermized; each block then acts
-    as one input symbol for the classic algorithm.  Unreachable states
-    are dropped before refinement.
+    as one input symbol.  Unreachable states are dropped before
+    refinement, and the result is numbered canonically (BFS from the
+    start state, successors in ascending label order).  An incomplete
+    DFA raises ``ValueError``.
     """
     obs.count_operation("minimize")
-    backend = active_backend()
-    with obs.span(
-        "hopcroft", states_in=dfa.num_states, backend=backend.name
-    ) as sp:
-        out = backend.minimize_dfa(dfa)
+    with obs.span("hopcroft", states_in=dfa.num_states) as sp:
+        out = bitset.minimize_dfa(dfa)
         sp.set("states_out", out.num_states)
         return out
-
-
-def _minimize_dfa(dfa: Dfa) -> Dfa:
-    # Restrict to reachable states.
-    reachable = {dfa.start}
-    queue = deque([dfa.start])
-    while queue:
-        state = queue.popleft()
-        for _, dst in dfa.transitions[state]:
-            if dst not in reachable:
-                reachable.add(dst)
-                queue.append(dst)
-
-    # Sorted so partition refinement sees a state order that is a
-    # function of the machine, not of set iteration order.
-    all_labels = [
-        label
-        for state in sorted(reachable)
-        for label, _ in dfa.transitions[state]
-    ]
-    symbols = minterms(all_labels)
-    reps = [block.min_char() for block in symbols]
-
-    # delta[s][k] = successor of s on symbol block k.
-    delta: dict[int, list[int]] = {}
-    for state in sorted(reachable):
-        row = []
-        for rep in reps:
-            row.append(dfa.delta(state, rep))
-        delta[state] = row
-        obs.visit_states(1)
-
-    # preds[k][t] = states stepping to t on block k.
-    preds: list[dict[int, set[int]]] = [dict() for _ in symbols]
-    for state in reachable:
-        for k, target in enumerate(delta[state]):
-            preds[k].setdefault(target, set()).add(state)
-
-    finals = dfa.finals & reachable
-    nonfinals = reachable - finals
-    partition: list[set[int]] = [blk for blk in (finals, nonfinals) if blk]
-    member: dict[int, int] = {}
-    for idx, blk in enumerate(partition):
-        for state in blk:
-            member[state] = idx
-    worklist: deque[int] = deque(range(len(partition)))
-
-    while worklist:
-        splitter_idx = worklist.popleft()
-        splitter = set(partition[splitter_idx])
-        for k in range(len(symbols)):
-            incoming: set[int] = set()
-            for target in splitter:
-                incoming |= preds[k].get(target, set())
-            touched: dict[int, set[int]] = {}
-            for state in incoming:
-                touched.setdefault(member[state], set()).add(state)
-            for blk_idx, moved in touched.items():
-                block = partition[blk_idx]
-                if len(moved) == len(block):
-                    continue
-                remainder = block - moved
-                partition[blk_idx] = moved
-                new_idx = len(partition)
-                partition.append(remainder)
-                for state in remainder:
-                    member[state] = new_idx
-                # Re-examine both halves.  Classic Hopcroft can get away
-                # with only the smaller one by tracking worklist
-                # membership; re-adding both is simpler and still
-                # terminates (every split strictly grows the partition).
-                worklist.append(blk_idx)
-                worklist.append(new_idx)
-
-    # Build the quotient machine.
-    transitions: dict[int, list[tuple[CharSet, int]]] = {}
-    for blk_idx, block in enumerate(partition):
-        rep_state = next(iter(block))
-        by_target: dict[int, CharSet] = {}
-        for k, symbol in enumerate(symbols):
-            target_blk = member[delta[rep_state][k]]
-            by_target[target_blk] = by_target.get(target_blk, CharSet.empty()) | symbol
-        covered = CharSet.empty()
-        for cs in by_target.values():
-            covered = covered | cs
-        rest = dfa.alphabet.universe - covered
-        if not rest.is_empty():
-            # Characters not appearing in any label all behave like the
-            # original machine's sink moves; route them with the block
-            # containing the representative's behaviour on such chars.
-            target_blk = member[dfa.delta(rep_state, rest.min_char())]
-            by_target[target_blk] = by_target.get(target_blk, CharSet.empty()) | rest
-        transitions[blk_idx] = [(cs, dst) for dst, cs in sorted(by_target.items())]
-    new_finals = {member[s] for s in finals}
-    return Dfa(dfa.alphabet, transitions, member[dfa.start], new_finals)
 
 
 def minimize_nfa(nfa: Nfa) -> Nfa:

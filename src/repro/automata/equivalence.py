@@ -15,7 +15,6 @@ from typing import Optional
 
 from .. import obs
 from ..cache import active_cache
-from .backend import active_backend
 from .charset import minterms
 from .nfa import Nfa
 
@@ -81,7 +80,7 @@ def is_subset(a: Nfa, b: Nfa) -> bool:
     cache = active_cache()
     if cache is not None:
         return cache.is_subset(a, b)
-    return active_backend().is_subset(a, b)
+    return counterexample(a, b) is None
 
 
 def equivalent(a: Nfa, b: Nfa) -> bool:

@@ -20,9 +20,8 @@ from typing import Optional
 
 from .. import obs
 from ..cache import active_cache
-from .backend import active_backend
-from .charset import minterms
-from .dfa import complement, determinize
+from . import bitset
+from .dfa import complement
 from .nfa import BridgeTag, Nfa
 
 __all__ = [
@@ -206,71 +205,12 @@ def product(a: Nfa, b: Nfa) -> tuple[Nfa, dict[int, tuple[int, int]]]:
         # would.
         obs.increment_metric("cache.empty_shortcircuit")
         return Nfa.never(a.alphabet), {}
-    backend = active_backend()
     with obs.span(
-        "product",
-        states_a=a.num_states,
-        states_b=b.num_states,
-        backend=backend.name,
+        "product", states_a=a.num_states, states_b=b.num_states
     ) as sp:
-        out, provenance = backend.product(a, b)
+        out, provenance = bitset.product(a, b)
         sp.set("states_out", out.num_states)
         return out, provenance
-
-
-def _product_reference(a: Nfa, b: Nfa) -> tuple[Nfa, dict[int, tuple[int, int]]]:
-    """The reference pair-worklist product kernel.
-
-    Every backend's ``product`` must reproduce this output *exactly* —
-    same states in the same intern order, same edges, labels, and
-    bridge tags — because the GCI procedure reads bridge-crossing
-    structure (and the provenance map) off the result.
-    """
-    out = Nfa(a.alphabet)
-    ids: dict[tuple[int, int], int] = {}
-    provenance: dict[int, tuple[int, int]] = {}
-    worklist: list[tuple[int, int]] = []
-
-    def intern(pair: tuple[int, int]) -> int:
-        if pair not in ids:
-            state = out.add_state()
-            ids[pair] = state
-            provenance[state] = pair
-            worklist.append(pair)
-        return ids[pair]
-
-    for p in a.starts:
-        for q in b.starts:
-            intern((p, q))
-    out.starts = set(ids.values())
-
-    while worklist:
-        pair = worklist.pop()
-        p, q = pair
-        src = ids[pair]
-        obs.visit_states(1)
-        for edge in a.out_edges(p):
-            if edge.is_epsilon:
-                out.add_epsilon(src, intern((edge.dst, q)), edge.tag)
-        for edge in b.out_edges(q):
-            if edge.is_epsilon:
-                out.add_epsilon(src, intern((p, edge.dst)), edge.tag)
-        for ea in a.out_edges(p):
-            if ea.is_epsilon:
-                continue
-            for eb in b.out_edges(q):
-                if eb.is_epsilon:
-                    continue
-                both = ea.label & eb.label
-                if not both.is_empty():
-                    out.add_transition(src, both, intern((ea.dst, eb.dst)))
-
-    out.finals = {
-        state
-        for state, (p, q) in provenance.items()
-        if p in a.finals and q in b.finals
-    }
-    return out, provenance
 
 
 def intersect(a: Nfa, b: Nfa) -> Nfa:
@@ -368,81 +308,14 @@ def left_quotient(prefixes: Nfa, language: Nfa) -> Nfa:
 
 def _left_quotient_instrumented(prefixes: Nfa, language: Nfa) -> Nfa:
     obs.count_operation("left_quotient")
-    backend = active_backend()
     with obs.span(
         "left_quotient",
         prefix_states=prefixes.num_states,
         language_states=language.num_states,
-        backend=backend.name,
     ) as sp:
-        # Backends registered before the kernel existed keep working:
-        # absent the method, the reference construction runs.
-        impl = getattr(backend, "left_quotient", None)
-        out = impl(prefixes, language) if impl is not None else _left_quotient(
-            prefixes, language
-        )
+        out = bitset.left_quotient(prefixes, language)
         sp.set("states_out", out.num_states)
         return out
-
-
-def _left_quotient(prefixes: Nfa, language: Nfa) -> Nfa:
-    if prefixes.is_empty():
-        return Nfa.universal(language.alphabet)
-    dfa = determinize(language)
-
-    # S = DFA states reachable on strings of `prefixes`.
-    seeds: set[int] = set()
-    seen: set[tuple[int, int]] = set()
-    stack: list[tuple[int, int]] = [
-        (p, dfa.start) for p in prefixes.epsilon_closure(prefixes.starts)
-    ]
-    seen.update(stack)
-    while stack:
-        p, d = stack.pop()
-        obs.visit_states(1)
-        if p in prefixes.finals:
-            seeds.add(d)
-        for edge in prefixes.out_edges(p):
-            if edge.is_epsilon:
-                nxt = (edge.dst, d)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-            else:
-                for label, dst in dfa.transitions[d]:
-                    step_label = edge.label & label
-                    if not step_label.is_empty():
-                        nxt = (edge.dst, dst)
-                        if nxt not in seen:
-                            seen.add(nxt)
-                            stack.append(nxt)
-
-    # Universal run of the DFA from all seed states at once.
-    out = Nfa(language.alphabet)
-    ids: dict[frozenset[int], int] = {}
-    worklist: list[frozenset[int]] = []
-
-    def intern(subset: frozenset[int]) -> int:
-        if subset not in ids:
-            ids[subset] = out.add_state()
-            worklist.append(subset)
-        return ids[subset]
-
-    start = frozenset(seeds)
-    intern(start)
-    out.starts = {ids[start]}
-    while worklist:
-        subset = worklist.pop()
-        src = ids[subset]
-        obs.visit_states(1)
-        if subset and all(d in dfa.finals for d in subset):
-            out.finals.add(src)
-        labels = [label for d in subset for label, _ in dfa.transitions[d]]
-        for block in minterms(labels):
-            rep = block.min_char()
-            target = frozenset(dfa.delta(d, rep) for d in subset)
-            out.add_transition(src, block, intern(target))
-    return out
 
 
 def right_quotient(language: Nfa, suffixes: Nfa) -> Nfa:

@@ -540,7 +540,7 @@ class LangCache:
         exit.  When either signature is missing, the lazy check runs
         and its verdict is memoized under the structural key pair.
         """
-        from ..automata.backend import active_backend
+        from ..automata.equivalence import counterexample
 
         if a.alphabet != b.alphabet:
             raise ValueError("cannot compare machines over different alphabets")
@@ -566,7 +566,7 @@ class LangCache:
             self._hit("is_subset")
             return stored == "y"
         self._miss("is_subset")
-        result = active_backend().is_subset(a, b)
+        result = counterexample(a, b) is None
         # Strings, not bools: `_get` treats the stored value None-ness
         # as presence, so encode the verdict in a always-truthy token.
         self._put(key, "y" if result else "n")
@@ -581,7 +581,7 @@ class LangCache:
         forcing a determinization — and the verdict is memoized under
         the (commutative) structural key pair.
         """
-        from ..automata.backend import active_backend
+        from ..automata.equivalence import counterexample
 
         if a.alphabet != b.alphabet:
             raise ValueError("cannot compare machines over different alphabets")
@@ -598,8 +598,7 @@ class LangCache:
             self._hit("equivalent")
             return stored == "y"
         self._miss("equivalent")
-        backend = active_backend()
-        result = backend.is_subset(a, b) and backend.is_subset(b, a)
+        result = counterexample(a, b) is None and counterexample(b, a) is None
         self._put(key, "y" if result else "n")
         return result
 

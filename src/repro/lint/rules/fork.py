@@ -7,8 +7,8 @@ other machines.  Payloads must pickle: lambdas and nested closures fail
 outright under spawn, and bound methods drag their whole receiver —
 including unpicklable contextvars, live caches, and executors — across
 the fork.  The sanctioned shape is the existing ``_run_chunk`` pattern:
-a module-level function taking plain-data arguments, with backends and
-caches travelling *by name* and being re-installed in the worker.
+a module-level function taking plain-data arguments, with caches and
+telemetry sinks dropped and rebuilt in the worker.
 
 Flagged: ``executor.submit(fn, ...)`` / ``executor.map(fn, ...)`` where
 ``fn`` is a lambda, an attribute access (bound method), or a name bound

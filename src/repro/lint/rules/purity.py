@@ -1,17 +1,17 @@
 """L001 — kernel purity: machine-returning code must not mutate or
 alias its inputs.
 
-The contract (docs/BACKENDS.md): backend kernels and every ``Nfa`` /
-``Dfa`` method that returns a *new* machine are pure in their operands —
-the result shares no mutable structure with the inputs, and the inputs
-are byte-identical afterwards.  PR 6 shipped exactly this bug:
+The contract (docs/BACKENDS.md): the automata kernels and every
+``Nfa`` / ``Dfa`` method that returns a *new* machine are pure in their
+operands — the result shares no mutable structure with the inputs, and
+the inputs are byte-identical afterwards.  PR 6 shipped exactly this bug:
 ``Dfa.complemented()`` copied the transition dict but aliased the inner
 move lists, so mutating the complement corrupted the original — caught
 dynamically, long after review.
 
 Scope: functions whose return annotation mentions ``Nfa``/``Dfa`` that
-are methods of ``Nfa``/``Dfa``/``*Backend`` classes or module-level
-functions taking a machine parameter.  Flagged patterns:
+are methods of ``Nfa``/``Dfa`` or module-level functions taking a
+machine parameter.  Flagged patterns:
 
 * stores through a parameter (``self.starts = ...``,
   ``other._edges[s] = ...``, ``aug`` assigns);
@@ -70,10 +70,7 @@ def _kernel_functions(
     """Yield (function, context-label) pairs in L001 scope."""
     for node in tree.body:
         if isinstance(node, ast.ClassDef):
-            in_scope = node.name in _MACHINE_CLASSES or node.name.endswith(
-                "Backend"
-            )
-            if not in_scope:
+            if node.name not in _MACHINE_CLASSES:
                 continue
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -213,8 +210,15 @@ def _check_function(
                         hint="copy one level deeper: "
                         "{s: list(moves) for s, moves in ...items()}",
                     )
-            # 5a. Mutable machine attribute passed bare to a constructor.
-            if isinstance(node.func, ast.Name) and node.func.id in _CONSTRUCTORS:
+            # 5a. Mutable machine attribute passed bare to a constructor
+            # (``Dfa(...)`` or through a module, ``dfa_mod.Dfa(...)``).
+            func = node.func
+            ctor = (
+                func.id if isinstance(func, ast.Name)
+                else func.attr if isinstance(func, ast.Attribute)
+                else None
+            )
+            if ctor in _CONSTRUCTORS:
                 for arg in list(node.args) + [kw.value for kw in node.keywords]:
                     pa = _param_attr(arg, params)
                     if pa and pa[1] in MUTABLE_ATTRS:
@@ -222,7 +226,7 @@ def _check_function(
                             "L001",
                             arg,
                             f"{label}: {pa[0]}.{pa[1]} passed into "
-                            f"{node.func.id}(...) without copying — result "
+                            f"{ctor}(...) without copying — result "
                             "aliases the input's mutable state",
                             hint=f"wrap it: set({pa[0]}.{pa[1]}) / list(...) / "
                             "a per-entry copy",

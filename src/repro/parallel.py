@@ -51,7 +51,6 @@ from typing import Any, Iterator, Optional
 
 from . import cache as cache_mod
 from . import obs
-from .automata import backend as backend_mod
 from .automata.alphabet import Alphabet
 from .automata.charset import CharSet
 from .automata.nfa import BridgeTag, Nfa
@@ -196,11 +195,6 @@ def encode_group(prepared, limits) -> dict[str, Any]:
             "maximize": limits.maximize,
             "max_maximize_rounds": limits.max_maximize_rounds,
         },
-        # Backends travel by name: the worker re-installs the parent's
-        # active kernel set, so fan-out never changes which backend
-        # computes a solution (instances themselves are not picklable
-        # state — they're stateless by contract anyway).
-        "backend": backend_mod.active_backend().name,
         "collect": bool(obs.active_sinks()),
     }
 
@@ -313,11 +307,9 @@ def _run_chunk(
     _IN_WORKER = True
     # dprle-lint: disable=L040 -- transport timestamp; feeds the parallel.chunk_seconds obs histogram
     chunk_started = time.perf_counter()
-    # Forked ambient state from the parent: drop it (see module doc),
-    # then install the parent's backend by name from the payload.
+    # Forked ambient state from the parent: drop it (see module doc).
     obs._sinks.set(None)
     cache_mod._active.set(None)
-    backend_mod._active.set(backend_mod.get_backend(payload["backend"]))
 
     from .solver import gci
 

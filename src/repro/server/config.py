@@ -34,9 +34,6 @@ class ServerConfig:
     #: Default worker fan-out for solves (``repro.parallel``): None
     #: defers to ``DPRLE_WORKERS``, 0 forces serial.
     workers: Optional[int] = None
-    #: Default automata backend for solves; None defers to
-    #: ``DPRLE_BACKEND``.
-    backend: Optional[str] = None
     #: Default enumeration planner mode for solves.
     plan: str = "off"
     #: Max entries in the shared in-memory language cache.

@@ -103,14 +103,6 @@ class GciLimits:
     is solution-preserving (see ``docs/DIAGNOSTICS.md``); counters
     ``check.pruned_nodes`` / ``check.proved_unsat`` record its effect.
 
-    ``backend`` names the automata kernel set
-    (:mod:`repro.automata.backend`) the solve runs under: ``None``
-    defers to whatever is already active (an enclosing
-    :func:`~repro.automata.backend.use_backend` block, else the
-    ``DPRLE_BACKEND`` environment variable, else ``"reference"``).
-    Worker processes re-install the same backend by name, so parallel
-    solves stay backend-consistent end to end.
-
     ``plan`` selects the enumeration planner (:mod:`repro.solver.plan`):
     ``"off"`` (default) walks the factored space as-is; ``"equiv"``
     collapses signature-interchangeable bridge edges before stage 5;
@@ -134,7 +126,6 @@ class GciLimits:
     workers: Optional[int] = None
     min_parallel_combinations: int = 64
     precheck: bool = False
-    backend: Optional[str] = None
     plan: str = "off"
     beam_width: int = 0
 

@@ -31,8 +31,7 @@ equivalent.  Three subcommands:
 
 ``solve``, ``check``, ``analyze``, and ``graph`` all take the same
 observability flags (``--stats-json``, ``--trace``, ``--journal``,
-cache and worker knobs, and ``--backend`` to pick the automata kernel
-set — see ``docs/BACKENDS.md``) — see :func:`_add_observability_flags`.
+cache, worker and planner knobs) — see :func:`_add_observability_flags`.
 
 Examples::
 
@@ -59,7 +58,6 @@ from .. import obs
 from ..analysis.analyzer import analyze_source
 from ..analysis.attacks import ALL_ATTACKS, CONTAINS_QUOTE
 from ..analysis.corpus import build_corpus
-from ..automata.backend import available_backends, use_backend
 from ..cache import CacheLimits, LangCache
 from ..constraints.dsl import DslError, parse_problem
 from ..solver.gci import GciLimits
@@ -97,11 +95,6 @@ def _add_observability_flags(subparser: argparse.ArgumentParser) -> None:
         help="fan the GCI bridge-combination enumeration out across N "
         "worker processes (docs/PARALLELISM.md); 0 forces serial, "
         "default honours the DPRLE_WORKERS environment variable",
-    )
-    subparser.add_argument(
-        "--backend", choices=available_backends(), default=None,
-        help="automata kernel set (docs/BACKENDS.md); default honours "
-        "the DPRLE_BACKEND environment variable, else 'reference'",
     )
     subparser.add_argument(
         "--plan", choices=PLAN_MODES, default="off",
@@ -146,7 +139,7 @@ def _run_observed(args: argparse.Namespace, run) -> int:
     )
     want_collect = args.stats_json is not None or args.trace
     if not want_collect and args.journal is None:
-        with use_backend(args.backend), cache.activate():
+        with cache.activate():
             return run()
     collector = None
     with ExitStack() as stack:
@@ -161,7 +154,6 @@ def _run_observed(args: argparse.Namespace, run) -> int:
                 return 2
         if want_collect:
             collector = stack.enter_context(obs.collect())
-        stack.enter_context(use_backend(args.backend))
         stack.enter_context(cache.activate())
         code = run()
     if args.journal is not None:
@@ -308,10 +300,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         "--workers", type=int, default=None, metavar="N",
         help="default worker fan-out for solves (docs/PARALLELISM.md); "
         "0 forces serial, default honours DPRLE_WORKERS",
-    )
-    serve_cmd.add_argument(
-        "--backend", choices=available_backends(), default=None,
-        help="default automata kernel set for solves (docs/BACKENDS.md)",
     )
     serve_cmd.add_argument(
         "--plan", choices=PLAN_MODES, default="off",
@@ -686,7 +674,6 @@ def _run_serve(args: argparse.Namespace) -> int:
             port=args.port,
             cache_db=args.cache_db,
             workers=args.workers,
-            backend=args.backend,
             plan=args.plan,
             cache_entries=args.cache_entries,
             batch_window=max(args.batch_window_ms, 0.0) / 1000.0,

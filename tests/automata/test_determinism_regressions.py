@@ -9,9 +9,9 @@ output:
   *choice* depended on hash-table history;
 * :func:`repro.automata.analysis.random_string` defaulted to the
   process-global RNG, so repeated calls were unreproducible;
-* :func:`repro.automata.dfa._minimize_dfa` fed set-ordered states into
-  partition refinement, so block numbering was a function of memory
-  layout, not of the machine.
+* the set-based Hopcroft kernel (now the oracle in ``tests/oracle.py``)
+  fed set-ordered states into partition refinement, so block numbering
+  was a function of memory layout, not of the machine.
 
 Each test drives the public API with inputs whose construction order is
 permuted and asserts the output is a function of the machine alone.

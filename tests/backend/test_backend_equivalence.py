@@ -1,13 +1,13 @@
-"""Reference ≡ bitset: the backend must be observationally invisible.
+"""Reference ≡ bitset: the kernels must be observationally invisible.
 
-The bitset kernels (repro.automata.bitset) promise the *same* answers
-as the reference kernels — not just the same languages, but the same
-SolutionSets in the same order, and (because determinize/product are
-pinned structure-identical) the same serial ``visit_states`` and
-operation counters.  These tests pin that end-to-end on the paper's
-fixtures, on randomized RMA systems, under adversarially warmed
-caches, and across the multiprocess worker pool (workers re-install
-the parent's backend by name).
+The production kernels (repro.automata.bitset) promise the *same*
+answers as the oracle kernels in tests/oracle.py — not just the same
+languages, but the same SolutionSets in the same order, and (because
+determinize/product are pinned structure-identical) the same serial
+``visit_states`` and operation counters.  These tests pin that end to
+end on the paper's fixtures, on randomized RMA systems, under
+adversarially warmed caches, and across the multiprocess worker pool
+(which always runs the production kernels).
 """
 
 import pathlib
@@ -17,17 +17,16 @@ from hypothesis import given, settings
 
 from repro import obs
 from repro.automata import ops
-from repro.automata.backend import use_backend
 from repro.automata.equivalence import equivalent
 from repro.automata.nfa import Nfa
 from repro.cache import LangCache
 from repro.constraints import parse_problem
 from repro.constraints.terms import Const, Problem, Subset, Var
 from repro.solver import solve
-from repro.solver.api import RegLangSolver
 from repro.solver.gci import GciLimits
 
 from ..helpers import AB
+from ..oracle import KERNEL_SETS, use_kernels
 from ..prop.strategies import machines
 
 DATA = pathlib.Path(__file__).parent.parent / "data"
@@ -40,16 +39,13 @@ FIXTURES = [
     "wide.dprle",
 ]
 
-BACKENDS = ["reference", "bitset"]
-
-
 def _limits(workers: int = 0, **kwargs) -> GciLimits:
     return GciLimits(workers=workers, min_parallel_combinations=1, **kwargs)
 
 
-def _solve(fixture: str, backend: str, workers: int = 0, **kwargs):
+def _solve(fixture: str, kernels: str, workers: int = 0, **kwargs):
     problem = parse_problem((DATA / fixture).read_text())
-    with LangCache().activate(), use_backend(backend):
+    with LangCache().activate(), use_kernels(kernels):
         return solve(problem, limits=_limits(workers, **kwargs))
 
 
@@ -70,17 +66,17 @@ def test_fixture_solutions_identical(fixture):
 
 @pytest.mark.parametrize("fixture", ["motivating.dprle", "fig9.dprle", "wide.dprle"])
 def test_serial_counters_identical(fixture):
-    """determinize/product are structure-identical across backends, so
-    the serial cost model (visit_states totals, operation counts) must
-    agree exactly — the bitset backend batches its emissions, but the
-    totals are pinned."""
+    """determinize/product are structure-identical across kernel sets,
+    so the serial cost model (visit_states totals, operation counts)
+    must agree exactly — the bitset kernels batch their emissions, but
+    the totals are pinned."""
     problem = parse_problem((DATA / fixture).read_text())
     counters = {}
-    for backend in BACKENDS:
-        with LangCache().activate(), use_backend(backend):
+    for kernels in KERNEL_SETS:
+        with LangCache().activate(), use_kernels(kernels):
             with obs.collect() as collector:
                 solve(problem, limits=_limits(0))
-        counters[backend] = collector.metrics.snapshot()["counters"]
+        counters[kernels] = collector.metrics.snapshot()["counters"]
     assert counters["reference"] == counters["bitset"]
 
 
@@ -92,43 +88,26 @@ def test_bitset_parallel_matches_reference_serial(fixture, workers):
     assert_same_solutions(reference, candidate)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_adversarially_warmed_cache_identical(backend):
-    """A cache warmed under the *other* backend must not perturb
+@pytest.mark.parametrize("kernels", KERNEL_SETS)
+def test_adversarially_warmed_cache_identical(kernels):
+    """A cache warmed under the *other* kernel set must not perturb
     answers: minimal DFAs are canonical, so language signatures — and
-    therefore cache hits — are backend-portable."""
+    therefore cache hits and signature-store files — do not depend on
+    which kernels computed them."""
     reference = _solve("wide.dprle", "reference")
-    other = BACKENDS[1 - BACKENDS.index(backend)]
+    other = KERNEL_SETS[1 - KERNEL_SETS.index(kernels)]
 
     problem = parse_problem((DATA / "wide.dprle").read_text())
     cache = LangCache()
-    with cache.activate(), use_backend(other):
+    with cache.activate(), use_kernels(other):
         universal = Nfa.universal(AB)
         ops.intersect(universal, universal.copy())
         one = Nfa.literal("a", AB)
         cache.signature(ops.intersect(universal, one))
         cache.signature(one)
-    with cache.activate(), use_backend(backend):
+    with cache.activate(), use_kernels(kernels):
         warmed = solve(problem, limits=_limits(0))
     assert_same_solutions(reference, warmed)
-
-
-def test_limits_backend_field_selects_bitset():
-    problem = parse_problem((DATA / "motivating.dprle").read_text())
-    reference = solve(problem, limits=_limits(0))
-    candidate = solve(problem, limits=_limits(0, backend="bitset"))
-    assert_same_solutions(reference, candidate)
-
-
-def test_solver_backend_kwarg_selects_bitset():
-    def build(backend):
-        solver = RegLangSolver(alphabet=AB, backend=backend)
-        solver.add_dsl((DATA / "motivating.dprle").read_text())
-        return solver
-
-    reference = build(None).solve(limits=_limits(0))
-    candidate = build("bitset").solve(limits=_limits(0))
-    assert_same_solutions(reference, candidate)
 
 
 @settings(max_examples=8, deadline=None)
@@ -143,8 +122,8 @@ def test_random_rma_systems_identical(c1, c2, c3):
         alphabet=AB,
     )
     kwargs = {"max_combinations": 10_000}
-    with LangCache().activate(), use_backend("reference"):
+    with LangCache().activate(), use_kernels("reference"):
         reference = solve(problem, limits=_limits(0, **kwargs))
-    with LangCache().activate(), use_backend("bitset"):
+    with LangCache().activate(), use_kernels("bitset"):
         candidate = solve(problem, limits=_limits(0, **kwargs))
     assert_same_solutions(reference, candidate)

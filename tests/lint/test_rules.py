@@ -228,8 +228,7 @@ class TestRegistry:
             get_rule("no-such-rule")
 
     def test_plugin_registration_shape(self):
-        # Same shape as automata.backend.register_backend: register,
-        # resolve by name, last registration wins.
+        # Register, resolve by name, last registration wins.
         from repro.lint import Rule, register_rule
 
         def check(_ctx):

@@ -16,6 +16,7 @@ import threading
 import pytest
 
 from repro.server import SCHEMA, ServerConfig, SolveDaemon
+from repro.server.handlers import compat_key
 
 DATA = pathlib.Path(__file__).parent.parent / "data"
 
@@ -254,6 +255,22 @@ class TestBatching:
             batch_size = stats["metrics"]["histograms"]["server.batch_size"]
             assert batch_size["max"] >= 2
             assert stats["metrics"]["counters"]["server.batches"] >= 1
+
+    def test_compat_key_is_kind_workers_plan(self):
+        config = ServerConfig(workers=0)
+        payload = {"source": SIMPLE_SOURCE, "plan": "full"}
+        assert compat_key("solve", payload, config) == ("solve", "0", "full")
+        # A "backend" field is ignored like any other unknown field.
+        assert compat_key(
+            "solve", dict(payload, backend="bitset"), config
+        ) == compat_key("solve", payload, config)
+
+    def test_unknown_backend_field_still_solves(self, daemon):
+        status, doc = daemon.request(
+            "POST", "/solve", {"source": SIMPLE_SOURCE, "backend": "typo"}
+        )
+        assert status == 200
+        assert doc["result"]["satisfiable"] is True
 
     def test_shared_cache_across_requests(self):
         # Second identical solve must hit the daemon-lifetime cache.
