@@ -27,9 +27,12 @@ frontier propagation:
   rows whose labels are minterm masks, splitting on every distinct
   incoming mask of a splitter block at once.
 
-Inclusion is not here: the lazy check in
-:mod:`repro.automata.equivalence` stops at the first counterexample
-and returns it, which the solution checker needs anyway.
+Inclusion is not here: :mod:`repro.automata.equivalence` runs a lazy
+pair search that stops at the first counterexample and returns it,
+which the solution checker needs anyway.  It shares only the idea of
+a value-keyed memo (of each label set's minterm blocks) with this
+module; compiling both operands to bitset views would be a pass over
+every edge that a check failing early never needs.
 
 Everything compiles from and back to the shared
 :class:`~repro.automata.nfa.Nfa` / :class:`~repro.automata.dfa.Dfa`

@@ -14,7 +14,7 @@ of partition blocks.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator
 
 __all__ = ["CharSet", "minterms", "MAX_CODEPOINT"]
 
@@ -253,7 +253,7 @@ def _pretty(cp: int) -> str:
 _EMPTY = CharSet()
 
 
-def minterms(sets: Sequence[CharSet]) -> list[CharSet]:
+def minterms(sets: Collection[CharSet]) -> list[CharSet]:
     """Partition the union of ``sets`` into disjoint blocks.
 
     Every input set equals a union of returned blocks, and the blocks

@@ -19,7 +19,6 @@ Two details matter for the decision procedure:
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .alphabet import BYTE_ALPHABET, Alphabet
@@ -253,34 +252,66 @@ class Nfa:
 
     def reachable_from(self, roots: Iterable[int]) -> set[int]:
         """States reachable from ``roots`` via any transition."""
+        edges = self._edges
         seen = set(roots)
-        queue = deque(seen)
-        while queue:
-            state = queue.popleft()
-            for edge in self._edges[state]:
-                if edge.dst not in seen:
-                    seen.add(edge.dst)
-                    queue.append(edge.dst)
+        # dprle-lint: disable=L030 -- traversal order only; the result is a set
+        stack = list(seen)
+        while stack:
+            for _, dst, _ in edges[stack.pop()]:
+                if dst not in seen:
+                    seen.add(dst)
+                    stack.append(dst)
         return seen
 
-    def coreachable(self) -> set[int]:
-        """States from which some final state is reachable."""
-        preds: dict[int, set[int]] = {state: set() for state in self._edges}
-        for src, edge in self.edges():
-            preds[edge.dst].add(src)
-        seen = set(self.finals)
-        queue = deque(seen)
-        while queue:
-            state = queue.popleft()
-            for pred in preds[state]:
-                if pred not in seen:
-                    seen.add(pred)
-                    queue.append(pred)
-        return seen
+    def live_states(
+        self,
+        starts: Optional[Iterable[int]] = None,
+        finals: Optional[Iterable[int]] = None,
+    ) -> set[int]:
+        """States on some start→final path.
 
-    def live_states(self) -> set[int]:
-        """States on some start→final path."""
-        return self.reachable_from(self.starts) & self.coreachable()
+        ``starts`` and ``finals`` default to the machine's own.  The
+        forward pass from the starts records each edge it walks in a
+        predecessor map, so the map for the backward pass from the
+        finals covers only the states reached forward: a boundary deep
+        inside a large machine costs the part of the machine it can
+        reach, not the whole of it.
+        """
+        edges = self._edges
+        roots = set(self.starts if starts is None else starts)
+        # Each reached state's first predecessor goes in ``first``, any
+        # others in ``more``: most states have one, and plain ints keep
+        # a large map from allocating a list per state.  A state is
+        # reached forward iff it is a root or has a first predecessor.
+        first: dict[int, int] = {}
+        more: dict[int, list[int]] = {}
+        # dprle-lint: disable=L030 -- traversal order only; the result is a set
+        stack = list(roots)
+        while stack:
+            src = stack.pop()
+            for _, dst, _ in edges[src]:
+                if dst in first:
+                    more.setdefault(dst, []).append(src)
+                else:
+                    first[dst] = src
+                    if dst not in roots:
+                        stack.append(dst)
+        live = {
+            state
+            for state in (self.finals if finals is None else finals)
+            if state in first or state in roots
+        }
+        # dprle-lint: disable=L030 -- traversal order only; the result is a set
+        stack = list(live)
+        while stack:
+            state = stack.pop()
+            if state not in first:
+                continue
+            for pred in (first[state], *more.get(state, ())):
+                if pred not in live:
+                    live.add(pred)
+                    stack.append(pred)
+        return live
 
     def is_empty(self) -> bool:
         """True iff the language is empty."""
@@ -300,38 +331,40 @@ class Nfa:
         clone._edges = {state: list(edges) for state, edges in self._edges.items()}
         return clone
 
-    def with_start(self, state: int) -> "Nfa":
-        """Copy with ``state`` as the only start (paper's induce_from_start)."""
-        clone = self.copy()
-        clone.set_start(state)
-        return clone
-
-    def with_final(self, state: int) -> "Nfa":
-        """Copy with ``state`` as the only final (paper's induce_from_final)."""
-        clone = self.copy()
-        clone.set_final(state)
-        return clone
-
     def trim(self) -> "Nfa":
         """Copy restricted to live states (keeps ids).
 
         The result always retains at least one start state so it remains
         a well-formed machine even when the language is empty.
         """
-        live = self.live_states()
+        return self.restricted(self.starts, self.finals)
+
+    def restricted(self, starts: Iterable[int], finals: Iterable[int]) -> "Nfa":
+        """Trimmed copy with ``starts`` and ``finals`` as its boundary.
+
+        ``m.restricted({q}, m.finals)`` is the paper's
+        induce_from_start(m, q) and ``m.restricted(m.starts, {q})`` its
+        induce_from_final(m, q), trimmed.  The result is the machine a
+        :meth:`copy` given these starts and finals would trim to (same
+        ids, edges, starts, finals and next id), but it is built from
+        the live states alone: the states the trim would drop are never
+        copied.  The starts are always kept, so the result is
+        well-formed even when its language is empty — which is exactly
+        when its ``finals`` are empty.
+        """
+        roots = set(starts)
+        live = self.live_states(roots, finals)
+        edges = self._edges
         clone = Nfa(self.alphabet)
         clone._next_state = self._next_state
-        keep = live | set(self.starts)
-        for state in keep:
+        clone._edges = {
+            state: [edge for edge in edges[state] if edge.dst in live]
+            for state in live
+        }
+        for state in roots - live:
             clone._edges[state] = []
-        for state in keep:
-            clone._edges[state] = [
-                edge
-                for edge in self._edges[state]
-                if edge.dst in live and state in live
-            ]
-        clone.starts = set(self.starts)
-        clone.finals = self.finals & live
+        clone.starts = roots
+        clone.finals = live.intersection(finals)
         return clone
 
     def renumbered(self) -> tuple["Nfa", dict[int, int]]:

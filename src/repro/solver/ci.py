@@ -84,9 +84,9 @@ def concat_intersect(
         ):
             if edge.tag is not tag:
                 continue
-            lhs = m5.with_final(src).trim()  # induce_from_final(M5, qa)
-            rhs = m5.with_start(edge.dst).trim()  # induce_from_start(M5, qb)
-            if lhs.is_empty() or rhs.is_empty():
+            lhs = m5.restricted(m5.starts, {src})  # induce_from_final(M5, qa)
+            rhs = m5.restricted({edge.dst}, m5.finals)  # induce_from_start(M5, qb)
+            if not lhs.finals or not rhs.finals:  # an empty restriction
                 continue
             if maximize:
                 rhs = ops.intersect(c2, ops.left_quotient(lhs, c3)).trim()

@@ -232,8 +232,9 @@ class _PreparedGroup:
     combination (so only the factored space is ever walked).
     ``slice_memo`` memoizes per-occurrence slices across combinations —
     an occurrence's slice depends on at most two tags, so the memo
-    collapses the per-combination ``copy``/``trim`` work to one
-    computation per (occurrence, boundary-edge) pair.  ``pair_memo``
+    collapses the per-combination restriction of the top machine
+    (:meth:`~repro.automata.nfa.Nfa.restricted`) to one computation per
+    (occurrence, boundary-edge) pair.  ``pair_memo``
     memoizes the pairwise share intersections (trimmed, ``None`` when
     empty) keyed by the two occurrences' boundary keys; factoring fills
     it and :func:`_slice_combination` reads it back.
@@ -995,13 +996,13 @@ def _occurrence_slice(
         obs.increment_metric("gci.slice_memo_hits")
         return memo[key]
     obs.increment_metric("gci.slice_memo_misses")
-    piece = machines[occ.top].copy()
-    if start_edge is not None:
-        piece.set_start(start_edge[1])
-    if final_edge is not None:
-        piece.set_final(final_edge[0])
-    piece = piece.trim()
-    result = None if piece.is_empty() else piece
+    top = machines[occ.top]
+    piece = top.restricted(
+        top.starts if start_edge is None else {start_edge[1]},
+        top.finals if final_edge is None else {final_edge[0]},
+    )
+    # A restriction keeps only live finals: none means an empty slice.
+    result = piece if piece.finals else None
     # dprle-lint: disable=L001 -- memo is a documented out-param accumulator, not machine state
     memo[key] = result
     return result
@@ -1094,7 +1095,9 @@ def _maximize_solution(
     context ``R`` inside a constraint ``⊆ c``, the admissible strings
     are ``LQ(L, RQ(c, R))`` (universal quotients).  Languages only grow
     (the current value is always admissible), so iterating to a fixed
-    point — usually one round — yields a maximal assignment.
+    point — usually one round — yields a maximal assignment.  When the
+    ``max_maximize_rounds``-th round still changes a variable, the
+    possibly non-maximal result is counted in ``gci.maximize_capped``.
     """
     current: dict[Node, Nfa] = dict(solution)
 
@@ -1116,6 +1119,7 @@ def _maximize_solution(
         if leaf_seq.count(var) > 1
     }
 
+    changed = False
     for _ in range(limits.max_maximize_rounds):
         changed = False
         for var in var_nodes:
@@ -1143,6 +1147,10 @@ def _maximize_solution(
                 changed = True
         if not changed:
             break
+    if changed:
+        # The last allowed round still grew a variable: the assignment
+        # satisfies the group but may not be maximal yet.
+        obs.increment_metric("gci.maximize_capped")
     return current
 
 

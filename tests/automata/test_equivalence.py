@@ -1,15 +1,28 @@
 """Unit tests for the inclusion / equivalence oracle."""
 
+from hypothesis import given, settings
+
+from repro import obs
 from repro.automata import (
     Alphabet,
     CharSet,
     Nfa,
     counterexample,
+    equivalence,
     equivalent,
     is_subset,
 )
 
+from .. import oracle
 from ..helpers import ABC, machine
+from ..prop.strategies import epsilon_nfas
+
+
+def _run_counted(check, a, b):
+    """``check(a, b)`` and the ``visit_states`` total it emitted."""
+    with obs.collect() as collector:
+        result = check(a, b)
+    return result, collector.states_visited
 
 
 class TestSubset:
@@ -74,3 +87,40 @@ class TestEquivalence:
     def test_empty_machines(self):
         assert equivalent(Nfa.never(ABC), Nfa.never(ABC))
         assert not equivalent(Nfa.never(ABC), Nfa.epsilon_only(ABC))
+
+
+class TestKernelAgainstOracle:
+    """The memoized search against the per-pair one in tests/oracle.py:
+    same verdict, same counterexample string, same ``visit_states``
+    total."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(epsilon_nfas(), epsilon_nfas())
+    def test_property_same_answer_and_visits(self, a, b):
+        assert _run_counted(counterexample, a, b) == _run_counted(
+            oracle.counterexample, a, b
+        )
+
+    def test_label_split_machines(self):
+        big = Alphabet(CharSet.range("a", "z"), name="az")
+        left = Nfa.char_class(CharSet.range("a", "z"), big)
+        right = Nfa.char_class(CharSet.range("a", "m"), big)
+        for a, b in [(left, right), (right, left), (left, left)]:
+            assert _run_counted(counterexample, a, b) == _run_counted(
+                oracle.counterexample, a, b
+            )
+
+    def test_memo_clearing_keeps_answers(self, monkeypatch):
+        # Wholesale clearing on every insertion must not change a thing.
+        monkeypatch.setattr(equivalence, "_MEMO_LIMIT", 1)
+        monkeypatch.setattr(equivalence, "_blocks_memo", {})
+        pairs = [
+            (machine("a{1,5}"), machine("aaa?")),
+            (machine("(a|b)*c"), machine("(ab)*c|b*c")),
+            (machine("(ab|c)*"), machine("(ab|c)*")),
+        ]
+        for a, b in pairs:
+            assert _run_counted(counterexample, a, b) == _run_counted(
+                oracle.counterexample, a, b
+            )
+        assert len(equivalence._blocks_memo) == 1

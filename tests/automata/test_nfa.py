@@ -1,10 +1,14 @@
 """Unit tests for the core ε-NFA class."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.automata import BYTE_ALPHABET, BridgeTag, CharSet, Nfa
 
+from .. import oracle
 from ..helpers import ABC
+from ..prop.strategies import epsilon_nfas
 
 
 class TestBuilders:
@@ -131,6 +135,30 @@ class TestStructure:
         assert Nfa.epsilon_only().accepts_epsilon()
         assert not Nfa.literal("x").accepts_epsilon()
 
+    def test_restricted_is_empty_exactly_without_finals(self):
+        machine = Nfa.literal("ab")
+        assert machine.restricted({1}, {2}).finals == {2}
+        empty = machine.restricted({2}, {1})
+        assert not empty.finals
+        assert empty.is_empty()
+        assert empty.starts == {2}
+
+    @settings(max_examples=200, deadline=None)
+    @given(epsilon_nfas(max_states=8), st.data())
+    def test_property_restricted_matches_reference_trim(self, machine, data):
+        state = st.integers(min_value=0, max_value=machine.num_states - 1)
+        starts = data.draw(st.sets(state))
+        finals = data.draw(st.sets(state))
+        reference = machine.copy()
+        reference.starts = set(starts)
+        reference.finals = set(finals)
+        assert oracle.structure(machine.restricted(starts, finals)) == (
+            oracle.structure(oracle.trim(reference))
+        )
+        assert oracle.structure(machine.trim()) == oracle.structure(
+            oracle.trim(machine)
+        )
+
 
 class TestTransforms:
     def test_copy_is_independent(self):
@@ -143,7 +171,7 @@ class TestTransforms:
     def test_with_start_and_final(self):
         machine = Nfa.literal("abc")
         # State ids are sequential for literal machines: 0-a-1-b-2-c-3.
-        inner = machine.with_start(1).with_final(2)
+        inner = machine.restricted({1}, {2})
         assert inner.accepts("b")
         assert not inner.accepts("ab")
 

@@ -2,15 +2,20 @@
 
 These are the textbook versions of the four heavy automata kernels —
 subset construction, Hopcroft minimization, the cross product and the
-universal left quotient — over Python sets and ``CharSet`` intervals.
-They are slow and obviously correct, and the production kernels in
-:mod:`repro.automata.bitset` are tested against them:
+universal left quotient — over Python sets and ``CharSet`` intervals,
+plus the per-pair inclusion search and the all-states trim.  They are
+slow and obviously correct, and the production kernels in
+:mod:`repro.automata.bitset`, :mod:`repro.automata.equivalence` and
+:class:`~repro.automata.nfa.Nfa` are tested against them:
 
 * ``determinize`` and ``product`` must agree *structurally*: same
   states in the same numbering, same edges, labels, bridge tags and
   provenance;
 * ``minimize_dfa`` must agree on the language and the minimal size;
-* ``left_quotient`` must agree on the language.
+* ``left_quotient`` must agree on the language;
+* ``counterexample`` must agree on the verdict and the string;
+* ``trim`` must agree on states, per-state edge lists, starts, finals
+  and the next state id.
 
 Each kernel counts visits one by one (``obs.visit_states(1)``) exactly
 where the production kernels count them in batches, so a solve under
@@ -37,6 +42,9 @@ __all__ = [
     "minimize_dfa",
     "product",
     "left_quotient",
+    "counterexample",
+    "trim",
+    "structure",
     "use_kernels",
 ]
 
@@ -285,6 +293,72 @@ def left_quotient(prefixes: Nfa, language: Nfa) -> Nfa:
             target = frozenset(dfa.delta(d, rep) for d in subset)
             out.add_transition(src, block, intern(target))
     return out
+
+
+def counterexample(a: Nfa, b: Nfa) -> Optional[str]:
+    """The inclusion search pair by pair: fresh minterms and interval
+    lookups for every pair, one ``visit_states(1)`` per pair popped."""
+    start = (a.epsilon_closure(a.starts), b.epsilon_closure(b.starts))
+    seen: set[tuple[frozenset[int], frozenset[int]]] = {start}
+    queue: deque[tuple[frozenset[int], frozenset[int], str]] = deque(
+        [(start[0], start[1], "")]
+    )
+    while queue:
+        sa, sb, prefix = queue.popleft()
+        obs.visit_states(1)
+        if (sa & a.finals) and not (sb & b.finals):
+            return prefix
+        # Minterm over *both* machines' outgoing labels so each block is
+        # behaviourally uniform for a and for b; blocks from a's labels
+        # alone could straddle a distinction that only b makes.
+        labels = a.labels_from(sa) + b.labels_from(sb)
+        for block in minterms(labels):
+            ch = block.sample()
+            ta = a.step(sa, ch)
+            if not ta:
+                continue
+            tb = b.step(sb, ch)
+            key = (ta, tb)
+            if key not in seen:
+                seen.add(key)
+                queue.append((ta, tb, prefix + ch))
+    return None
+
+
+def trim(nfa: Nfa) -> Nfa:
+    """Restrict to live states, with a predecessor map over *all*
+    states for the backward pass."""
+    preds: dict[int, set[int]] = {state: set() for state in nfa.states}
+    for src, edge in nfa.edges():
+        preds[edge.dst].add(src)
+    coreachable = set(nfa.finals)
+    queue = deque(coreachable)
+    while queue:
+        state = queue.popleft()
+        for pred in preds[state]:
+            if pred not in coreachable:
+                coreachable.add(pred)
+                queue.append(pred)
+    live = nfa.reachable_from(nfa.starts) & coreachable
+    clone = Nfa(nfa.alphabet)
+    clone._next_state = nfa._next_state
+    keep = live | set(nfa.starts)
+    for state in keep:
+        clone._edges[state] = [
+            edge
+            for edge in nfa.out_edges(state)
+            if edge.dst in live and state in live
+        ]
+    clone.starts = set(nfa.starts)
+    clone.finals = nfa.finals & live
+    return clone
+
+
+def structure(nfa: Nfa) -> tuple:
+    """What ``trim`` must agree on: per-state edge lists (so the state
+    set), starts, finals and the next state id."""
+    edges = {state: list(nfa.out_edges(state)) for state in nfa.states}
+    return edges, nfa.starts, nfa.finals, nfa._next_state
 
 
 _ORACLE = {

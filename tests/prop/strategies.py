@@ -54,6 +54,44 @@ def machines(max_depth: int = 3) -> st.SearchStrategy[Nfa]:
     return regexes(max_depth=max_depth).map(lambda r: to_nfa(r, AB))
 
 
+#: Labels for raw ε-NFAs: overlapping sets, and two ("a-c", "x") that
+#: reach outside the {a, b} universe.
+RAW_LABELS = [
+    CharSet.of("a"),
+    CharSet.of("b"),
+    CharSet.of("ab"),
+    CharSet.range("a", "c"),
+    CharSet.of("x"),
+]
+
+
+def raw_labels() -> st.SearchStrategy[CharSet | None]:
+    """An edge label: ε, a shared label object, or a fresh equal copy."""
+    return st.one_of(
+        st.none(),
+        st.sampled_from(RAW_LABELS),
+        st.sampled_from(RAW_LABELS).map(lambda label: CharSet(label.ranges)),
+    )
+
+
+@st.composite
+def epsilon_nfas(draw, max_states: int = 5) -> Nfa:
+    """A raw ε-NFA over {a, b}, built edge by edge rather than from a
+    regex: any start set (several, or none), any final set (possibly
+    empty), ε-cycles, overlapping labels and labels partly outside the
+    alphabet universe."""
+    size = draw(st.integers(min_value=1, max_value=max_states))
+    nfa = Nfa(AB)
+    nfa.add_states(size)
+    state = st.integers(min_value=0, max_value=size - 1)
+    edges = draw(st.lists(st.tuples(state, raw_labels(), state), max_size=3 * size))
+    for src, label, dst in edges:
+        nfa.add_transition(src, label, dst)
+    nfa.starts = draw(st.sets(state))
+    nfa.finals = draw(st.sets(state))
+    return nfa
+
+
 def short_strings(max_size: int = 5) -> st.SearchStrategy[str]:
     return st.text(alphabet=LETTERS, max_size=max_size)
 

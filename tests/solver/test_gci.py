@@ -1,13 +1,19 @@
 """Unit tests for the generalized CI procedure over CI-groups (Fig. 8)."""
 
+import pathlib
+
 import pytest
 
+from repro import obs
 from repro.automata import enumerate_strings, equivalent, is_subset, ops
-from repro.constraints import Node, Subset, Var, build_graph
+from repro.constraints import Node, Subset, Var, build_graph, parse_problem
 from repro.constraints.terms import ConcatTerm, Const, Problem
-from repro.solver import GciLimits, solve_group
+from repro.solver import GciLimits, gci, solve_group
 
+from .. import oracle
 from ..helpers import ABC, machine
+
+DATA = pathlib.Path(__file__).parent.parent / "data"
 
 
 def _const(name: str, pattern: str) -> Const:
@@ -305,3 +311,80 @@ class TestPruneTruncationRegression:
                 all(equivalent(solution[n], keep[n]) for n in solution)
                 for keep in survivors
             )
+
+
+class TestOccurrenceSlices:
+    """Each slice the solver memoizes is the top machine restricted to
+    the occurrence's boundary, exactly as copy → set_start/set_final →
+    the reference trim in tests/oracle.py builds it."""
+
+    @pytest.mark.parametrize("fixture", ["fig9.dprle", "wide.dprle", "wider.dprle"])
+    def test_slices_match_reference_trim(self, fixture):
+        graph, _ = build_graph(parse_problem((DATA / fixture).read_text()))
+        limits = GciLimits(maximize=False)
+        for group in graph.ci_groups():
+            prepared = gci._prepare_group(graph, group, limits)
+            assert prepared is not None
+            # Walk every combination so the memo holds every slice used.
+            for _ in gci._iter_candidates(prepared, limits, 0, None):
+                pass
+            assert prepared.slice_memo
+            for (occ_index, start_edge, final_edge), piece in (
+                prepared.slice_memo.items()
+            ):
+                reference = prepared.machines[
+                    prepared.occurrences[occ_index].top
+                ].copy()
+                if start_edge is not None:
+                    reference.set_start(start_edge[1])
+                if final_edge is not None:
+                    reference.set_final(final_edge[0])
+                reference = oracle.trim(reference)
+                if reference.is_empty():
+                    assert piece is None
+                else:
+                    assert oracle.structure(piece) == oracle.structure(reference)
+
+
+class TestMaximizeCapped:
+    """Maximization cut off by ``max_maximize_rounds`` while a variable
+    was still growing is counted in ``gci.maximize_capped``."""
+
+    def _maximize(self, rounds: int):
+        problem = Problem(
+            [
+                Subset(Var("x"), _const("c1", "a*")),
+                Subset(Var("y"), _const("c2", "b*")),
+                Subset(Var("x").concat(Var("y")), _const("c3", "a*b*")),
+            ],
+            alphabet=ABC,
+        )
+        graph, _ = build_graph(problem)
+        (group,) = graph.ci_groups()
+        prepared = gci._prepare_group(graph, group, GciLimits())
+        _, solution = next(
+            gci._iter_candidates(prepared, GciLimits(maximize=False), 0, None)
+        )
+        # Deliberately shrink x: one round grows it back to a*.
+        solution[Node("var", "x")] = machine("a")
+        with obs.collect() as collector:
+            result = gci._maximize_solution(
+                solution,
+                prepared.machines,
+                prepared.constraint_specs,
+                prepared.var_nodes,
+                GciLimits(max_maximize_rounds=rounds),
+            )
+        counters = collector.to_dict()["metrics"]["counters"]
+        return counters.get("gci.maximize_capped", 0), result
+
+    def test_last_round_still_changing_is_counted(self):
+        capped, result = self._maximize(rounds=1)
+        assert capped == 1
+        assert equivalent(result[Node("var", "x")], machine("a*"))
+
+    def test_default_rounds_reach_the_fixpoint(self):
+        capped, result = self._maximize(rounds=GciLimits().max_maximize_rounds)
+        assert capped == 0
+        assert equivalent(result[Node("var", "x")], machine("a*"))
+        assert equivalent(result[Node("var", "y")], machine("b*"))
