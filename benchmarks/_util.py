@@ -24,6 +24,17 @@ OUT_DIR = pathlib.Path(__file__).parent / "out"
 #: The aggregated perf-trajectory file future PRs diff against.
 AGGREGATE_PATH = pathlib.Path(__file__).parent.parent / "BENCH_solver.json"
 
+#: Three variables, two concatenations sharing the middle one; each
+#: constant has enough bridge crossings for a 225-combination space.
+WIDE = """
+var va, vb, vc;
+va <= /(a|b)*/;
+vb <= /(a|b)*/;
+vc <= /(a|b)*/;
+va . vb <= /(a|b){7}/;
+vb . vc <= /(a|b){7}/;
+"""
+
 
 def write_table(name: str, title: str, lines: list[str]) -> pathlib.Path:
     """Write a result table to benchmarks/out/<name>.txt and echo it."""

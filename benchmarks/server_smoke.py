@@ -8,7 +8,7 @@ drop) — then SIGTERMs the server and requires the full drain
 handshake: "shutdown complete" on stdout and exit code 0.  The final
 ``/stats`` document is written to ``server-stats.json`` so CI can
 upload it as an artifact.  This is a guard rail, not a benchmark; the
-measurements live in ``server_load.py``.
+daemon's timings come from perfbench's ``server_mix`` workload.
 
 Usage::
 

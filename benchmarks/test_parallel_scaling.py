@@ -15,12 +15,12 @@ import os
 import pathlib
 import time
 
-from repro import obs
+from repro import obs, parallel
 from repro.constraints import parse_problem
 from repro.solver import solve
 from repro.solver.gci import GciLimits
 
-from benchmarks.parallel_smoke import WIDE
+from benchmarks._util import WIDE
 
 DATA = pathlib.Path(__file__).parent.parent / "tests" / "data"
 
@@ -115,19 +115,20 @@ def test_parallel_scaling_wide():
     )
 
 
-def test_work_bounding_fig9_first_solution():
+def test_work_bounding_fig9_first_solution(monkeypatch):
     """Sec. 3.5 first-solution case: ``max_solutions=1`` must bound the
     enumeration work, not just the output.  Serial runs skip
     deterministically; across a pool the bound is best-effort (chunks
     already in flight complete — see docs/PARALLELISM.md), so the
     parallel leg asserts the accounting identity instead."""
+    monkeypatch.setattr(parallel, "MIN_PARALLEL_COMBINATIONS", 1)
     rows = {}
     for workers in (0, 2):
         with obs.collect() as collector:
             solutions = solve(
                 parse_problem(FIG9),
                 max_solutions=1,
-                limits=GciLimits(workers=workers, min_parallel_combinations=1),
+                limits=GciLimits(workers=workers),
             )
         counters = collector.metrics.snapshot()["counters"]
         assert len(solutions) == 1

@@ -37,7 +37,6 @@ from ..constraints.depgraph import DepGraph, Node
 
 __all__ = [
     "GroupEstimate",
-    "YieldModel",
     "estimate_group",
     "estimate_groups",
 ]
@@ -71,101 +70,6 @@ class GroupEstimate:
             "concatenations": self.concatenations,
             "bridges": self.bridges,
             "estimated_combinations": self.estimated_combinations,
-        }
-
-
-@dataclass
-class YieldModel:
-    """Per-chunk yield prediction over a planned combination space.
-
-    Where :class:`GroupEstimate` bounds the combination space before
-    any solving work, this model refines the picture *after* the
-    enumeration planner (:mod:`repro.solver.plan`) has built its
-    viability mask: ``digit_weights[pos][d]`` is the fraction of
-    surviving combinations that choose digit ``d`` at tag position
-    ``pos`` (the marginal viability rate of that bridge edge), and
-    :meth:`expected_yield` combines the marginals under an
-    independence assumption into a predicted survivor count for a
-    canonical index range.
-
-    The planner's exact per-chunk popcounts are the scheduling signal
-    (:meth:`repro.solver.plan.EnumerationPlan.count_survivors`); the
-    model is the explainable summary — which edges carry the yield —
-    recorded in the planner telemetry and benchmark blocks, and the
-    predictor of record for spaces whose mask was not materialized.
-    """
-
-    radices: list[int]
-    digit_weights: list[list[float]]
-    survivors: int
-    space: int
-
-    @classmethod
-    def from_mask(cls, radices: list[int], mask: int) -> "YieldModel":
-        """Digit marginals counted exactly off a viability bitmask."""
-        space = 1
-        for radix in radices:
-            space *= radix
-        counts = [[0] * radix for radix in radices]
-        survivors = 0
-        window = mask
-        while window:
-            low = window & -window
-            index = low.bit_length() - 1
-            window ^= low
-            survivors += 1
-            for pos in range(len(radices) - 1, -1, -1):
-                index, digit = divmod(index, radices[pos])
-                counts[pos][digit] += 1
-        weights = [
-            [count / survivors for count in row] if survivors else [0.0] * len(row)
-            for row in counts
-        ]
-        return cls(
-            radices=list(radices),
-            digit_weights=weights,
-            survivors=survivors,
-            space=space,
-        )
-
-    def expected_yield(self, start: int, stop: int) -> float:
-        """Predicted survivors in ``[start, stop)`` from the marginals.
-
-        Sums ``survivors × ∏ digit_weights`` over the range — exact
-        when digits are independent among survivors, an estimate
-        otherwise.
-        """
-        stop = min(stop, self.space)
-        if self.survivors == 0 or start >= stop:
-            return 0.0
-        total = 0.0
-        npos = len(self.radices)
-        digits = [0] * npos
-        index = start
-        for pos in range(npos - 1, -1, -1):
-            index, digits[pos] = divmod(index, self.radices[pos])
-        for _ in range(start, stop):
-            rate = 1.0
-            for pos in range(npos):
-                rate *= self.digit_weights[pos][digits[pos]]
-            total += rate
-            for pos in range(npos - 1, -1, -1):
-                digits[pos] += 1
-                if digits[pos] < self.radices[pos]:
-                    break
-                digits[pos] = 0
-        # ∏ marginals estimates the fraction of survivors at one digit
-        # vector; scale by the survivor count to get a predicted count.
-        return total * self.survivors
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "radices": list(self.radices),
-            "survivors": self.survivors,
-            "space": self.space,
-            "digit_weights": [
-                [round(w, 4) for w in row] for row in self.digit_weights
-            ],
         }
 
 

@@ -29,13 +29,9 @@ Three process-boundary rules keep the workers honest:
   work too.
 
 :func:`resolve_workers` decides the fan-out width (explicit setting,
-else the ``DPRLE_WORKERS`` environment variable, else serial) and
-pins workers themselves to serial — a worker never nests a pool.
-
-:func:`solve_groups` extends the same pool to the worklist solver's
-independent CI-groups: every group's chunks are submitted up-front, so
-the pool interleaves work across groups instead of draining them one
-at a time.
+else the ``DPRLE_WORKERS`` environment variable, else serial), keeps
+groups below :data:`MIN_PARALLEL_COMBINATIONS` in-process, and pins
+workers themselves to serial — a worker never nests a pool.
 """
 
 from __future__ import annotations
@@ -55,15 +51,19 @@ from .automata.alphabet import Alphabet
 from .automata.charset import CharSet
 from .automata.nfa import BridgeTag, Nfa
 from .automata.serialize import from_dict, to_dict
-from .constraints.depgraph import DepGraph, Node
+from .constraints.depgraph import Node
 
 __all__ = [
     "resolve_workers",
     "parallel_candidates",
-    "solve_groups",
     "encode_group",
     "shutdown",
 ]
+
+#: Groups with fewer walkable combinations than this are enumerated
+#: in-process even when workers are configured: the task encode/decode
+#: would cost more than the enumeration.
+MIN_PARALLEL_COMBINATIONS = 64
 
 # Chunks per worker: small enough to amortize the per-task payload
 # decode (memoized per group anyway), large enough that a straggler
@@ -75,11 +75,14 @@ _CHUNKS_PER_WORKER = 4
 _IN_WORKER = False
 
 
-def resolve_workers(requested: Optional[int]) -> int:
+def resolve_workers(requested: Optional[int], space: Optional[int] = None) -> int:
     """The effective worker count: explicit setting, else the
     ``DPRLE_WORKERS`` environment variable, else 0 (serial).  Always 0
-    inside a worker process."""
+    inside a worker process, and for a combination ``space`` smaller
+    than :data:`MIN_PARALLEL_COMBINATIONS`."""
     if _IN_WORKER:
+        return 0
+    if space is not None and space < MIN_PARALLEL_COMBINATIONS:
         return 0
     if requested is None:
         env = os.environ.get("DPRLE_WORKERS", "").strip()
@@ -450,10 +453,9 @@ def _schedule_chunks(
     submitted eagerly, in canonical order.  A planned group with a
     viability mask drops zero-survivor chunks entirely, submits
     best-first by exact survivor count, and — when ``max_solutions``
-    caps the solve — throttles the in-flight window to
-    ``GciLimits.beam_width`` (or an automatic width: the canonical
+    caps the solve — throttles the in-flight window to the canonical
     chunk prefix whose cumulative predicted yield covers the cap, never
-    fewer than the worker count).
+    fewer than the worker count.
     """
     ranges = _chunk_ranges(prepared.index_space, workers)
     plan = prepared.plan
@@ -475,30 +477,28 @@ def _schedule_chunks(
         order = sorted(range(len(ranges)), key=lambda i: (-yields[i], i))
         cap = limits.max_solutions
         if cap is not None and ranges:
-            if limits.beam_width > 0:
-                window = limits.beam_width
-            else:
-                window, cumulative = 0, 0
-                for chunk_yield in yields:
-                    window += 1
-                    cumulative += chunk_yield
-                    if cumulative >= cap:
-                        break
-                window = max(window, workers)
+            window, cumulative = 0, 0
+            for chunk_yield in yields:
+                window += 1
+                cumulative += chunk_yield
+                if cumulative >= cap:
+                    break
+            window = max(window, workers)
     return _ChunkSchedule(pool, payload, ranges, order=order, window=window)
 
 
 def parallel_candidates(
     prepared, limits, workers: int
 ) -> Iterator[tuple[int, Any, dict[Node, Nfa]]]:
-    """The parallel stage-5 producer (drop-in for
-    ``gci._serial_candidates``): same ``(index, key, solution)`` stream,
-    same canonical order, work fanned out across the pool.
+    """The parallel stage-5 producer (the fan-out branch of
+    ``gci._candidates``): the in-process walk's ``(index, key,
+    solution)`` stream, same canonical order, work fanned out across
+    the pool.
 
     Chunk submission follows the group's :class:`_ChunkSchedule` (eager
     canonical for unplanned groups, best-first/beam for planned ones);
     the generator drains chunks in canonical order.  Closing the
-    generator early — the consumer's streaming cap or safe-frontier
+    generator early — the selector's streaming cap or safe-frontier
     exit — cancels every submitted-but-unstarted chunk and never
     submits the rest, which is what makes ``max_solutions`` bound
     *work* across the pool, not just output.
@@ -577,8 +577,6 @@ def _drain(
         if chunk_seconds:
             # Chunk skew (slowest chunk vs. mean) and pool utilization
             # (busy seconds vs. wall x observed workers) for this drain.
-            # Utilization is an estimate: with interleaved groups the
-            # pool serves other drains during this one's wall time.
             mean = sum(chunk_seconds) / len(chunk_seconds)
             if mean > 0:
                 obs.set_gauge(
@@ -593,78 +591,3 @@ def _drain(
                 obs.set_gauge(
                     "parallel.utilization", min(1.0, utilization)
                 )
-
-
-def solve_groups(
-    graph: DepGraph,
-    groups: list[set[Node]],
-    limits,
-    workers: int,
-    take: Optional[int],
-) -> list[list[dict[Node, Nfa]]]:
-    """Solve independent CI-groups with one shared pool.
-
-    Chunks for *every* parallel-sized group are submitted before any
-    group is drained, so the pool interleaves across groups — the
-    worklist's independent-group scheduling.  Groups below
-    ``limits.min_parallel_combinations`` run serially in-process while
-    the pool crunches the big ones.  ``take`` caps each group's
-    collected solutions (the worklist consumes at most that prefix);
-    the underlying streams are closed at the cap, cancelling unstarted
-    chunks.
-
-    Per-group results are exactly ``list(gci.group_solutions(...))``
-    prefixes: same candidates, same order, same pruning.
-    """
-    from .solver import gci
-
-    prepared_groups = []
-    for group in groups:
-        with obs.span("ci", group_size=len(group)) as sp:
-            prepared = gci._prepare_group(graph, group, limits)
-            if prepared is None:
-                sp.set("combinations", 0)
-            else:
-                sp.set("combinations", prepared.total_combinations)
-        if prepared is not None:
-            gci._emit_group_counters(prepared)
-        prepared_groups.append(prepared)
-
-    staged: list = []
-    for prepared in prepared_groups:
-        if prepared is None:
-            staged.append(None)
-            continue
-        if prepared.enumeration_space >= limits.min_parallel_combinations:
-            payload = encode_group(prepared, limits)
-            pool = _get_pool(workers)
-            staged.append(
-                (
-                    prepared,
-                    _schedule_chunks(pool, payload, prepared, limits, workers),
-                )
-            )
-        else:
-            staged.append((prepared, None))
-
-    out: list[list[dict[Node, Nfa]]] = []
-    for stage in staged:
-        if stage is None:
-            out.append([])
-            continue
-        prepared, schedule = stage
-        if schedule is None:
-            candidates = gci._serial_candidates(prepared, limits)
-        else:
-            candidates = _drain(prepared, schedule)
-        stream = gci._consume(prepared, limits, candidates)
-        collected: list[dict[Node, Nfa]] = []
-        try:
-            for solution in stream:
-                collected.append(solution)
-                if take is not None and len(collected) >= take:
-                    break
-        finally:
-            stream.close()
-        out.append(collected)
-    return out

@@ -37,15 +37,17 @@ Three hygiene measures keep the output consistent with the paper's
   (every variable's language a subset of the other's) are pruned —
   *online*, against a maximal frontier of incumbents, so the
   enumeration can stop early once ``max_solutions`` provably-maximal
-  solutions exist (see :func:`_consume`).
+  solutions exist (see :func:`_select`).
 
-The combination enumeration (stage 5) is organised as a
-producer/consumer pair so the producer can be swapped out: serial
-in-process (:func:`_serial_candidates`) or fanned out across worker
-processes (:mod:`repro.parallel`) when ``GciLimits.workers`` asks for
-it.  Candidate order is canonical (mixed-radix combination index, last
-tag fastest — exactly ``itertools.product`` order), so results are
-identical no matter how the space is chunked.
+The combination enumeration (stage 5) is one producer feeding one
+selector.  The producer (:func:`_candidates`) walks the space in-process
+or fans it out across worker processes (:mod:`repro.parallel`) when
+``GciLimits.workers`` asks for it; both run :func:`_iter_candidates`.
+Candidate order is canonical (mixed-radix combination index, last tag
+fastest — exactly ``itertools.product`` order), so results are
+identical no matter how the space is chunked.  The selector
+(:func:`_select`) dedupes, prunes and caps; closing the producer early
+is its only way to stop the walk.
 
 The output is a list of disjunctive solutions, each mapping the group's
 variable nodes to NFAs — one solution per surviving combination of
@@ -72,23 +74,30 @@ __all__ = ["GciLimits", "solve_group", "group_solutions"]
 class GciLimits:
     """Knobs bounding the (worst-case exponential) enumeration.
 
-    ``prune_subsumed`` implements the Maximal property across a group's
-    disjunctive solutions.  The subsumption check is *streaming*: each
-    candidate is compared against a frontier of incumbent maxima as it
-    arrives, and with ``maximize=False`` the enumeration stops as soon
-    as ``max_solutions`` provably-unsubsumable solutions exist — so the
-    cap bounds work, not just output.  (With ``maximize=True`` a later
-    combination can still grow past an earlier one, so the full space
-    is consumed before the cap applies; ``prune_subsumed=False`` or
-    ``max_solutions=1`` always stream.)
+    The stage-5 selector has two regimes:
+
+    * *Streaming* — ``prune_subsumed=False`` or ``max_solutions == 1``:
+      candidates pass straight through (the paper's Sec. 3.5
+      first-solution behaviour), language duplicates dropped only when
+      ``dedupe`` is set.
+    * *Maximal frontier* — ``prune_subsumed`` (the Maximal property
+      across a group's disjunctive solutions): each candidate is
+      compared against a frontier of incumbent maxima as it arrives.
+      Pruning implies dedupe, whatever ``dedupe`` says: equal
+      candidates would otherwise subsume each other.  With
+      ``maximize=False`` the enumeration stops as soon as
+      ``max_solutions`` provably-unsubsumable solutions exist — so the
+      cap bounds work, not just output.  (With ``maximize=True`` a
+      later combination can still grow past an earlier one, so the full
+      space is consumed before the cap applies.)
 
     ``workers`` fans the bridge-combination space out across a process
     pool (:mod:`repro.parallel`): ``0`` forces serial, ``None`` defers
     to the ``DPRLE_WORKERS`` environment variable (default serial).
-    Groups whose combination space is smaller than
-    ``min_parallel_combinations`` are solved in-process even when
-    workers are available — the task encode/decode would cost more than
-    the enumeration.
+    Groups with fewer than ``repro.parallel.MIN_PARALLEL_COMBINATIONS``
+    walkable combinations are solved in-process even when workers are
+    available — the task encode/decode would cost more than the
+    enumeration.
 
     ``cache`` requests a solver-scoped language cache
     (:class:`repro.cache.LangCache`) for the solve: the worklist solver
@@ -110,9 +119,7 @@ class GciLimits:
     chunks best-first by exact predicted yield; ``"full"`` does both.
     Every mode preserves the output stream exactly (same solutions,
     same order) — the planner only removes work that is provably
-    redundant.  ``beam_width`` caps the number of chunks in flight for
-    a planned parallel solve with a ``max_solutions`` cap (``0`` sizes
-    the window from the predicted yield).
+    redundant.
     """
 
     max_solutions: Optional[int] = None
@@ -124,10 +131,8 @@ class GciLimits:
     minimize_leaves: bool = False
     cache: Optional[CacheLimits] = None
     workers: Optional[int] = None
-    min_parallel_combinations: int = 64
     precheck: bool = False
     plan: str = "off"
-    beam_width: int = 0
 
 
 @dataclass
@@ -178,12 +183,12 @@ def group_solutions(
             return
         sp.set("combinations", prepared.total_combinations)
     _emit_group_counters(prepared)
-    yield from _consume(prepared, limits, _candidate_stream(prepared, limits))
+    yield from _select(prepared, limits, _candidates(prepared, limits))
 
 
 def _emit_group_counters(prepared: "_PreparedGroup") -> None:
-    """The per-group combination accounting, shared with the parallel
-    driver.  The identity the telemetry tests rely on::
+    """The per-group combination accounting.  The producer adds
+    enumerated/skipped; the identity the telemetry tests rely on::
 
         total = factored + pruned_equiv + pruned_plan
                 + enumerated + skipped
@@ -203,22 +208,6 @@ def _emit_group_counters(prepared: "_PreparedGroup") -> None:
             obs.increment_metric(
                 "gci.combinations_pruned_plan", prepared.plan.pruned_plan
             )
-
-
-def _candidate_stream(
-    prepared: "_PreparedGroup", limits: GciLimits
-) -> Iterator[tuple[int, Any, dict[Node, Nfa]]]:
-    """The stage-5 producer: serial in-process, or a process-pool
-    fan-out when workers are configured and the space is big enough."""
-    from ..parallel import parallel_candidates, resolve_workers
-
-    workers = resolve_workers(limits.workers)
-    if (
-        workers > 0
-        and prepared.enumeration_space >= limits.min_parallel_combinations
-    ):
-        return parallel_candidates(prepared, limits, workers)
-    return _serial_candidates(prepared, limits)
 
 
 @dataclass
@@ -285,17 +274,26 @@ class _PreparedGroup:
         return max(0, stop - start)
 
 
-def _serial_candidates(
+def _candidates(
     prepared: "_PreparedGroup", limits: GciLimits
 ) -> Iterator[tuple[int, Any, dict[Node, Nfa]]]:
-    """Walk the whole (factored) combination space in-process.
+    """The stage-5 producer: the group's viable candidates in canonical
+    order, as ``(combination index, dedupe key or None, solution)``.
 
-    Yields ``(combination index, dedupe key or None, solution)``; the
-    key slot is filled by the parallel producer (workers compute
-    signatures on their side) and left ``None`` here.  Accounts walked
-    combinations into ``gci.combinations_enumerated`` /
-    ``gci.combinations_skipped`` when the consumer stops early.
+    A process-pool fan-out (:func:`repro.parallel.parallel_candidates`,
+    whose workers fill the key slot with language signatures) when
+    :func:`repro.parallel.resolve_workers` grants workers for this
+    space; otherwise the in-process walk, with the key left ``None``.
+    Either path accounts walked combinations into
+    ``gci.combinations_enumerated`` / ``gci.combinations_skipped``, also
+    when the selector closes it early.
     """
+    from ..parallel import parallel_candidates, resolve_workers
+
+    workers = resolve_workers(limits.workers, prepared.enumeration_space)
+    if workers:
+        yield from parallel_candidates(prepared, limits, workers)
+        return
     progress = [0]
     try:
         for index, solution in _iter_candidates(
@@ -401,53 +399,20 @@ def _combo_at(
     }
 
 
-def _deduped(
-    prepared: "_PreparedGroup",
-    limits: GciLimits,
-    candidates: Iterator[tuple[int, Any, dict[Node, Nfa]]],
-) -> Iterator[tuple[int, Any, dict[Node, Nfa]]]:
-    """Drop language-duplicate candidates (stage-5 dedupe).
-
-    With a language cache (or worker-computed keys) this is a
-    signature-set membership test; without either it falls back to the
-    pairwise equivalence scan against previously accepted solutions.
-    """
-    cache = active_cache()
-    seen: set = set()
-    accepted: list[dict[Node, Nfa]] = []
-    for index, key, solution in candidates:
-        if key is None and cache is not None:
-            key = tuple(
-                cache.signature(solution[node]) for node in prepared.var_nodes
-            )
-        if key is not None:
-            if key in seen:
-                continue
-            seen.add(key)
-        elif any(_pointwise_equivalent(solution, prior) for prior in accepted):
-            continue
-        else:
-            accepted.append(solution)
-        yield index, key, solution
-
-
-def _consume(
+def _select(
     prepared: "_PreparedGroup",
     limits: GciLimits,
     candidates: Iterator[tuple[int, Any, dict[Node, Nfa]]],
 ) -> Iterator[dict[Node, Nfa]]:
-    """The stage-5 consumer: dedupe, subsumption, caps.
+    """The stage-5 selector: dedupe, subsumption, caps.
 
-    Three regimes, all reading the same producer stream:
+    Two regimes over the producer's stream (see :class:`GciLimits`):
 
     * ``prune_subsumed=False`` or ``max_solutions == 1`` — stream
       candidates straight through (the paper's Sec. 3.5 first-solution
-      behaviour).
-    * pruning with ``dedupe=False`` — the legacy collect-everything
-      pairwise scan; mutually-equal candidates subsume each other, a
-      corner the frontier below cannot reproduce.
-    * pruning with dedupe (the default) — an online *maximal frontier*:
-      a candidate subsumed by an incumbent is dropped on arrival,
+      behaviour), deduping only when ``dedupe`` is set.
+    * otherwise an online *maximal frontier*, which always dedupes: a
+      candidate subsumed by an incumbent is dropped on arrival,
       incumbents subsumed by a new candidate leave the frontier, and —
       when ``maximize`` is off, so candidate languages are bounded by
       their slices — the enumeration stops early once the first
@@ -459,78 +424,75 @@ def _consume(
     symmetric ties), in canonical index order — so results are
     identical to eager enumerate-then-prune, only cheaper.
     """
+    cache = active_cache()
+    seen: set = set()
+    accepted: list[dict[Node, Nfa]] = []
+
+    def fresh(key: Any, solution: dict[Node, Nfa]) -> bool:
+        # Dedupe: with a language cache (or worker-computed keys) a
+        # signature-set membership test, else the pairwise equivalence
+        # scan against earlier fresh candidates.
+        if key is None and cache is not None:
+            key = tuple(
+                cache.signature(solution[node]) for node in prepared.var_nodes
+            )
+        if key is not None:
+            if key in seen:
+                return False
+            seen.add(key)
+            return True
+        if any(_pointwise_equivalent(solution, prior) for prior in accepted):
+            return False
+        accepted.append(solution)
+        return True
+
+    safety: dict[int, bool] = {}
+
+    def safe(index: int, member: dict[Node, Nfa]) -> bool:
+        if index not in safety:
+            safety[index] = _member_is_safe(prepared, index, member)
+        return safety[index]
+
     try:
         cap = limits.max_solutions
         if not limits.prune_subsumed or cap == 1:
-            source = (
-                _deduped(prepared, limits, candidates)
-                if limits.dedupe
-                else candidates
-            )
             yielded = 0
-            for _, _, solution in source:
+            for _, key, solution in candidates:
+                if limits.dedupe and not fresh(key, solution):
+                    continue
                 yield solution
                 yielded += 1
                 if cap is not None and yielded >= cap:
                     return
             return
 
-        if not limits.dedupe:
-            collected = [solution for _, _, solution in candidates]
-            keep: list[dict[Node, Nfa]] = []
-            for idx, solution in enumerate(collected):
-                subsumed = False
-                for jdx, other in enumerate(collected):
-                    if idx == jdx:
-                        continue
-                    if _pointwise_subset(solution, other):
-                        subsumed = True
-                        break
-                if not subsumed:
-                    keep.append(solution)
-            yield from keep[:cap] if cap is not None else keep
-            return
-
-        frontier: list[tuple[int, Any, dict[Node, Nfa]]] = []
-        safety: dict[int, bool] = {}
-        for index, key, solution in _deduped(prepared, limits, candidates):
-            dominated = False
-            for _, _, incumbent in frontier:
-                # is_subset is signature-memoized when a language cache
-                # is active, so this scan costs one inclusion check per
-                # distinct language pair rather than per solution pair.
-                if _pointwise_subset(solution, incumbent):
-                    # Dedupe removed equal solutions, so pointwise ⊆
-                    # here means strictly smaller somewhere; symmetric
-                    # ties cannot arise.
-                    dominated = True
-                    break
-            if dominated:
+        frontier: list[tuple[int, dict[Node, Nfa]]] = []
+        for index, key, solution in candidates:
+            if not fresh(key, solution):
+                continue
+            # is_subset is signature-memoized when a language cache is
+            # active, so this scan costs one inclusion check per distinct
+            # language pair rather than per solution pair.  Dedupe removed
+            # equal solutions, so pointwise ⊆ here means strictly smaller
+            # somewhere; symmetric ties cannot arise.
+            if any(
+                _pointwise_subset(solution, incumbent)
+                for _, incumbent in frontier
+            ):
                 continue
             frontier = [
                 item
                 for item in frontier
-                if not _pointwise_subset(item[2], solution)
+                if not _pointwise_subset(item[1], solution)
             ]
-            frontier.append((index, key, solution))
+            frontier.append((index, solution))
             if cap is None or limits.maximize or len(frontier) < cap:
                 continue
             # Maximization can grow a later candidate past its slices,
-            # so the safety argument below only holds for raw slices.
-            exhausted = True
-            for member_index, _, member in frontier[:cap]:
-                verdict = safety.get(member_index)
-                if verdict is None:
-                    verdict = _member_is_safe(prepared, member_index, member)
-                    safety[member_index] = verdict
-                if not verdict:
-                    exhausted = False
-                    break
-            if exhausted:
+            # so the safety argument only holds for raw slices.
+            if all(safe(i, member) for i, member in frontier[:cap]):
                 break
-        if cap is not None:
-            frontier = frontier[:cap]
-        for _, _, solution in frontier:
+        for _, solution in frontier[:cap]:
             yield solution
     finally:
         candidates.close()

@@ -39,8 +39,7 @@ Both moves are exact with respect to the enumeration's output stream:
 
 The mask doubles as an exact per-chunk yield table: popcounts over
 canonical index ranges feed the best-first chunk scheduling in
-:mod:`repro.parallel` and the :class:`repro.check.cost.YieldModel`
-marginal-rate predictor recorded in the planner telemetry.
+:mod:`repro.parallel`.
 
 Modes (``GciLimits.plan`` / ``--plan``): ``"off"`` (default, planner
 never runs), ``"equiv"`` (class collapse only), ``"beam"`` (viability
@@ -50,12 +49,11 @@ See ``docs/PLANNER.md``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Optional
 
 from .. import obs
 from ..cache import active_cache
-from ..check.cost import YieldModel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from ..automata.nfa import BridgeTag
@@ -81,8 +79,7 @@ class EnumerationPlan:
     bitmask over that space (bit ``i`` set ⇔ combination ``i`` may be
     viable), or ``None`` when the mode skips mask building.
     ``survivors`` is ``popcount(mask)`` (``space`` when there is no
-    mask).  ``class_sizes`` records, per tag, the size of the class
-    each kept representative stands for (all 1 when nothing collapsed).
+    mask).
     """
 
     mode: str
@@ -91,8 +88,6 @@ class EnumerationPlan:
     pruned_plan: int
     survivors: int
     mask: Optional[int]
-    class_sizes: dict[BridgeTag, list[int]] = field(default_factory=dict)
-    yield_model: Optional[YieldModel] = None
 
     def iter_survivors(self, start: int, stop: int) -> Iterator[int]:
         """Canonical indices of surviving combinations in [start, stop)."""
@@ -132,9 +127,8 @@ def build_plan(
         )
     base_space = prepared.factored_combinations
     with obs.span("gci_plan", mode=mode, base_space=base_space) as sp:
-        class_sizes: dict[BridgeTag, list[int]] = {}
         if mode in ("equiv", "full"):
-            class_sizes = _collapse_classes(prepared, limits)
+            _collapse_classes(prepared, limits)
         space = 1
         for tag in prepared.tag_order:
             space *= len(prepared.edges_by_tag[tag])
@@ -142,14 +136,9 @@ def build_plan(
 
         mask: Optional[int] = None
         survivors = space
-        yield_model: Optional[YieldModel] = None
         if mode in ("beam", "full"):
             mask = _viability_mask(prepared)
             survivors = mask.bit_count()
-            radices = [
-                len(prepared.edges_by_tag[tag]) for tag in prepared.tag_order
-            ]
-            yield_model = YieldModel.from_mask(radices, mask)
         pruned_plan = space - survivors
 
         sp.set("space", space)
@@ -163,8 +152,6 @@ def build_plan(
         pruned_plan=pruned_plan,
         survivors=survivors,
         mask=mask,
-        class_sizes=class_sizes,
-        yield_model=yield_model,
     )
 
 
@@ -179,11 +166,9 @@ def _occ_tags(
     return start_tag, final_tag
 
 
-def _collapse_classes(
-    prepared: "_PreparedGroup", limits: "GciLimits"
-) -> dict["BridgeTag", list[int]]:
-    """Collapse each tag's edge list to one representative per
-    signature-equivalence class; returns ``{tag: [class sizes]}``.
+def _collapse_classes(prepared: "_PreparedGroup", limits: "GciLimits") -> None:
+    """Collapse each tag's edge list, in place, to one representative
+    per signature-equivalence class.
 
     Sound only under dedupe (class members' candidates are pointwise
     language-equal to the representative's, which arrives first in
@@ -194,7 +179,7 @@ def _collapse_classes(
 
     cache = active_cache()
     if cache is None or not limits.dedupe:
-        return {}
+        return
 
     def slice_profile(
         occ: "_Occurrence", occ_index: int, start_edge: Edge, final_edge: Edge
@@ -218,14 +203,12 @@ def _collapse_classes(
         # the same.
         return True
 
-    class_sizes: dict["BridgeTag", list[int]] = {}
     # Tags are collapsed in tag_order; a later tag's profiles range
     # over the *already collapsed* earlier lists, which is sound: only
     # representative completions are ever enumerated.
     for tag in prepared.tag_order:
         edges = prepared.edges_by_tag[tag]
         if len(edges) <= 1:
-            class_sizes[tag] = [1] * len(edges)
             continue
         profiles: list[tuple[object, ...]] = []
         for edge in edges:
@@ -263,21 +246,14 @@ def _collapse_classes(
                         )
                     )
             profiles.append(tuple(profile))
-        representatives: dict[tuple[object, ...], int] = {}
+        representatives: set[tuple[object, ...]] = set()
         kept: list[tuple[int, int]] = []
-        sizes: list[int] = []
         for edge, profile in zip(edges, profiles):
-            slot = representatives.get(profile)
-            if slot is None:
-                representatives[profile] = len(kept)
+            if profile not in representatives:
+                representatives.add(profile)
                 kept.append(edge)
-                sizes.append(1)
-            else:
-                sizes[slot] += 1
         if len(kept) != len(edges):
             prepared.edges_by_tag[tag] = kept
-        class_sizes[tag] = sizes
-    return class_sizes
 
 
 # -- viability mask ----------------------------------------------------------

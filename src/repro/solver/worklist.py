@@ -30,7 +30,7 @@ from ..automata.dfa import minimize_nfa
 from ..automata.equivalence import is_subset
 from ..automata.nfa import Nfa
 from ..cache import LangCache, active_cache
-from ..constraints.depgraph import DepGraph, build_graph
+from ..constraints.depgraph import DepGraph, Node, build_graph
 from ..constraints.terms import Problem
 from .assignments import Assignment, SolutionSet
 from .gci import GciLimits, group_solutions
@@ -213,31 +213,22 @@ def _solve_graph(
                 solve_span.set("assignments", 0)
                 return SolutionSet([], query_names)
 
-        # With workers configured, solve every group up-front on one
-        # shared process pool (independent-group scheduling): the
-        # groups are disjoint, so the per-item re-enumeration below
-        # would recompute identical solution lists anyway.  The BFS
-        # then replays the cached lists, so ordering, caps, and the
-        # resulting SolutionSet are exactly the serial path's.
-        from ..parallel import resolve_workers, solve_groups
-
         # The BFS below consumes at most max(1, max_solutions) solutions
         # per group, so push that bound down into the group enumeration:
-        # group_solutions yields exactly the same prefix either way, and
-        # the streaming consumer can use the cap to stop enumerating
-        # bridge combinations early (see gci._consume).
+        # the selector can then use the cap to stop enumerating bridge
+        # combinations early (see gci._select).
         group_limits = limits
         if max_solutions is not None:
             per_group = max(1, max_solutions)
             if limits.max_solutions is None or per_group < limits.max_solutions:
                 group_limits = replace(limits, max_solutions=per_group)
 
-        workers = resolve_workers(limits.workers)
-        cached: Optional[list[list]] = None
-        if workers > 0 and groups:
-            take = max(1, max_solutions) if max_solutions is not None else None
-            cached = solve_groups(graph, groups, group_limits, workers, take)
-
+        # Groups are disjoint, so a group's solutions do not depend on
+        # the partial assignment: each group is enumerated once, the
+        # first time a work item reaches it (a group with no solutions
+        # kills every item, so later groups are never enumerated), and
+        # the BFS replays that list for every later item.
+        solved: list[Optional[list[dict[Node, Nfa]]]] = [None] * len(groups)
         assignments: list[Assignment] = []
         queue: deque[tuple[int, dict[str, Nfa]]] = deque([(0, base)])
         iterations = 0
@@ -252,22 +243,18 @@ def _solve_graph(
             with obs.span(
                 "worklist_iteration", group_index=group_index
             ) as iter_span:
-                group = groups[group_index]
-                produced = 0
-                source = (
-                    cached[group_index]
-                    if cached is not None
-                    else group_solutions(graph, group, group_limits)
-                )
-                for solution in source:
+                solutions = solved[group_index]
+                if solutions is None:
+                    solutions = list(
+                        group_solutions(graph, groups[group_index], group_limits)
+                    )
+                    solved[group_index] = solutions
+                for solution in solutions:
                     mapping = dict(partial)
                     for node, machine in solution.items():
                         mapping[node.name] = machine
                     queue.append((group_index + 1, mapping))
-                    produced += 1
-                    if max_solutions is not None and produced >= max_solutions:
-                        break
-                iter_span.set("solutions", produced)
+                iter_span.set("solutions", len(solutions))
             # A group with no solutions kills this work item (the paper's
             # "no assignments found" branch for the current graph).
 

@@ -103,11 +103,6 @@ def _add_observability_flags(subparser: argparse.ArgumentParser) -> None:
         "prunes and schedules by the viability mask, 'full' does both "
         "(default %(default)s; output is identical in every mode)",
     )
-    subparser.add_argument(
-        "--beam-width", type=int, default=0, metavar="N",
-        help="max chunks in flight for a planned parallel solve with "
-        "--max-solutions (0 sizes the window from predicted yield)",
-    )
 
 
 def _cli_limits(args: argparse.Namespace) -> Optional[GciLimits]:
@@ -115,15 +110,9 @@ def _cli_limits(args: argparse.Namespace) -> Optional[GciLimits]:
     default (so library defaults — including DPRLE_WORKERS — apply)."""
     precheck = bool(getattr(args, "precheck", False))
     plan = getattr(args, "plan", "off")
-    beam_width = int(getattr(args, "beam_width", 0))
-    if args.workers is None and not precheck and plan == "off" and not beam_width:
+    if args.workers is None and not precheck and plan == "off":
         return None
-    return GciLimits(
-        workers=args.workers,
-        precheck=precheck,
-        plan=plan,
-        beam_width=beam_width,
-    )
+    return GciLimits(workers=args.workers, precheck=precheck, plan=plan)
 
 
 def _run_observed(args: argparse.Namespace, run) -> int:

@@ -15,7 +15,7 @@ import pathlib
 import pytest
 from hypothesis import given, settings
 
-from repro import obs
+from repro import obs, parallel
 from repro.automata import ops
 from repro.automata.equivalence import equivalent
 from repro.automata.nfa import Nfa
@@ -39,8 +39,17 @@ FIXTURES = [
     "wide.dprle",
 ]
 
+
+@pytest.fixture(autouse=True, scope="module")
+def _dispatch_every_group():
+    # A threshold of 1 sends even the tiny textbook groups to the pool.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(parallel, "MIN_PARALLEL_COMBINATIONS", 1)
+        yield
+
+
 def _limits(workers: int = 0, **kwargs) -> GciLimits:
-    return GciLimits(workers=workers, min_parallel_combinations=1, **kwargs)
+    return GciLimits(workers=workers, **kwargs)
 
 
 def _solve(fixture: str, kernels: str, workers: int = 0, **kwargs):

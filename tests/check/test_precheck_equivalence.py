@@ -11,7 +11,7 @@ import pathlib
 import pytest
 from hypothesis import given, settings
 
-from repro import obs
+from repro import obs, parallel
 from repro.automata import ops
 from repro.automata.nfa import Nfa
 from repro.cache import LangCache
@@ -42,13 +42,16 @@ FIXTURES = [
 WORKER_COUNTS = [0, 4]
 
 
+@pytest.fixture(autouse=True, scope="module")
+def _dispatch_every_group():
+    # A threshold of 1 sends even the tiny textbook groups to the pool.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(parallel, "MIN_PARALLEL_COMBINATIONS", 1)
+        yield
+
+
 def _limits(precheck: bool, workers: int = 0, **kwargs) -> GciLimits:
-    return GciLimits(
-        precheck=precheck,
-        workers=workers,
-        min_parallel_combinations=1,
-        **kwargs,
-    )
+    return GciLimits(precheck=precheck, workers=workers, **kwargs)
 
 
 @pytest.mark.parametrize("fixture", FIXTURES)

@@ -16,7 +16,7 @@ import pathlib
 
 import pytest
 
-from repro import obs
+from repro import obs, parallel
 from repro.obs import schema
 from repro.constraints import parse_problem
 from repro.solver import solve
@@ -39,13 +39,11 @@ def wide_serial():
 
 @pytest.fixture(scope="module")
 def wider_parallel():
-    return _solve_under_collector(
-        "wider.dprle",
-        workers=2,
-        min_parallel_combinations=1,
-        plan="full",
-        precheck=True,
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(parallel, "MIN_PARALLEL_COMBINATIONS", 1)
+        return _solve_under_collector(
+            "wider.dprle", workers=2, plan="full", precheck=True
+        )
 
 
 def _registry(collector):

@@ -15,14 +15,14 @@ import pathlib
 import pytest
 from hypothesis import given, settings
 
-from repro import parallel
+from repro import obs, parallel
 from repro.automata import ops
 from repro.automata.equivalence import equivalent
 from repro.automata.nfa import Nfa
 from repro.cache import LangCache
-from repro.constraints import parse_problem
+from repro.constraints import build_graph, parse_problem
 from repro.constraints.terms import Const, Problem, Subset, Var
-from repro.solver import solve
+from repro.solver import solve, solve_group
 from repro.solver.gci import GciLimits
 
 from ..helpers import AB
@@ -44,10 +44,17 @@ FIXTURES = [
 WORKER_COUNTS = [0, 1, 4]
 
 
+@pytest.fixture(autouse=True, scope="module")
+def _dispatch_every_group():
+    # A threshold of 1 forces dispatch even for the tiny textbook
+    # groups, so every fixture crosses the process boundary.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(parallel, "MIN_PARALLEL_COMBINATIONS", 1)
+        yield
+
+
 def _limits(workers: int, **kwargs) -> GciLimits:
-    # min_parallel_combinations=1 forces dispatch even for the tiny
-    # textbook groups, so every fixture crosses the process boundary.
-    return GciLimits(workers=workers, min_parallel_combinations=1, **kwargs)
+    return GciLimits(workers=workers, **kwargs)
 
 
 def assert_same_solutions(reference, candidate) -> None:
@@ -109,6 +116,44 @@ def test_adversarially_warmed_cache_identical(workers):
     assert_same_solutions(reference, warm_parallel)
 
 
+#: The Sec. 3.1.1 system twice, on disjoint variables: two CI-groups
+#: of two solutions each, so the worklist reaches the second group
+#: from two work items.
+TWO_GROUPS = """
+var v1, v2, w1, w2;
+v1 <= /x(yy)+/;
+v2 <= /(yy)*z/;
+v1 . v2 <= /xyyz|xyyyyz/;
+w1 <= /x(yy)+/;
+w2 <= /(yy)*z/;
+w1 . w2 <= /xyyz|xyyyyz/;
+"""
+
+
+def test_each_group_enumerated_once():
+    problem = parse_problem(TWO_GROUPS)
+    graph, _ = build_graph(problem)
+    groups = graph.ci_groups()
+    assert len(groups) == 2
+    per_group = 0
+    for group in groups:
+        with obs.collect() as collector:
+            solve_group(graph, group)
+        per_group += collector.metrics.snapshot()["counters"][
+            "gci.combinations_total"
+        ]
+    results, totals = {}, {}
+    for workers in (0, 2):
+        with obs.collect() as collector:
+            results[workers] = solve(problem, limits=_limits(workers))
+        totals[workers] = collector.metrics.snapshot()["counters"][
+            "gci.combinations_total"
+        ]
+    assert totals[0] == totals[2] == per_group
+    assert len(results[0]) == 4
+    assert_same_solutions(results[0], results[2])
+
+
 @settings(max_examples=8, deadline=None)
 @given(machines(max_depth=2), machines(max_depth=2), machines(max_depth=2))
 def test_random_rma_systems_identical(c1, c2, c3):
@@ -143,5 +188,5 @@ def test_env_var_end_to_end(monkeypatch):
     monkeypatch.setenv("DPRLE_WORKERS", "2")
     problem = parse_problem((DATA / "fig9.dprle").read_text())
     reference = solve(problem, limits=_limits(0))
-    candidate = solve(problem, limits=GciLimits(min_parallel_combinations=1))
+    candidate = solve(problem, limits=GciLimits())
     assert_same_solutions(reference, candidate)

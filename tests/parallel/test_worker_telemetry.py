@@ -9,7 +9,9 @@ no matter which process did it.
 import json
 import pathlib
 
-from repro import obs, stats
+import pytest
+
+from repro import obs, parallel, stats
 from repro.constraints import parse_problem
 from repro.solver import solve
 from repro.solver.gci import GciLimits
@@ -18,14 +20,20 @@ from repro.tools.cli import main
 DATA = pathlib.Path(__file__).parent.parent / "data"
 
 
+@pytest.fixture
+def dispatch_every_group(monkeypatch):
+    monkeypatch.setattr(parallel, "MIN_PARALLEL_COMBINATIONS", 1)
+
+
 def _wide():
     return parse_problem((DATA / "wide.dprle").read_text())
 
 
 def _limits(workers):
-    return GciLimits(workers=workers, min_parallel_combinations=1)
+    return GciLimits(workers=workers)
 
 
+@pytest.mark.usefixtures("dispatch_every_group")
 def test_collector_receives_worker_spans_and_counters():
     with obs.collect() as collector:
         solve(_wide(), limits=_limits(2))
@@ -38,6 +46,7 @@ def test_collector_receives_worker_spans_and_counters():
     assert collector.root.find("worker")
 
 
+@pytest.mark.usefixtures("dispatch_every_group")
 def test_parallel_introspection_metrics_present():
     """dprle.obs/2 deep introspection: queue-wait and chunk histograms,
     per-worker busy counters, and pool gauges ride the snapshots home."""
@@ -77,6 +86,7 @@ def test_parallel_introspection_metrics_present():
     )
 
 
+@pytest.mark.usefixtures("dispatch_every_group")
 def test_cost_tracker_includes_worker_work():
     with stats.measure() as cost:
         solve(_wide(), limits=_limits(2))
@@ -105,7 +115,7 @@ def test_cli_stats_json_totals_include_worker_metrics(tmp_path, capsys):
     capsys.readouterr()
     doc = json.loads(stats_path.read_text())
     counters = doc["metrics"]["counters"]
-    # wide.dprle clears the default min_parallel_combinations, so the
+    # wide.dprle clears the default MIN_PARALLEL_COMBINATIONS, so the
     # enumeration really ran on the pool; states visited by workers
     # must be present in the CLI's exported totals.
     assert counters["gci.combinations_enumerated"] == 225

@@ -8,7 +8,7 @@ from repro import obs
 from repro.automata import enumerate_strings, equivalent, is_subset, ops
 from repro.constraints import Node, Subset, Var, build_graph, parse_problem
 from repro.constraints.terms import ConcatTerm, Const, Problem
-from repro.solver import GciLimits, gci, solve_group
+from repro.solver import GciLimits, gci, solve, solve_group
 
 from .. import oracle
 from ..helpers import ABC, machine
@@ -217,6 +217,19 @@ class TestLimits:
             limits=strict,
         )
         assert len(noisy) >= len(clean)
+
+    @pytest.mark.parametrize("fixture", ["disjunctive.dprle", "wide.dprle"])
+    def test_dedupe_off_under_pruning_matches_default(self, fixture):
+        # Pruning implies dedupe: language-equal candidates must not
+        # subsume each other out of the result.
+        problem = parse_problem((DATA / fixture).read_text())
+        reference = solve(problem)
+        candidate = solve(problem, limits=GciLimits(dedupe=False))
+        assert len(candidate) == len(reference) > 0
+        for want, got in zip(reference, candidate):
+            assert want.variables() == got.variables()
+            for name in want.variables():
+                assert equivalent(want[name], got[name])
 
     def test_prune_subsumed(self):
         # Without maximization the per-transition slices of this system

@@ -16,7 +16,7 @@ import pathlib
 
 import pytest
 
-from repro import obs
+from repro import obs, parallel
 from repro.automata import ops
 from repro.automata.equivalence import equivalent
 from repro.automata.nfa import Nfa
@@ -40,8 +40,16 @@ FIXTURES = ["fig9.dprle", "nested.dprle", "wide.dprle", "wider.dprle"]
 PLANNED_MODES = [m for m in PLAN_MODES if m != "off"]
 
 
+@pytest.fixture(autouse=True, scope="module")
+def _dispatch_every_group():
+    # A threshold of 1 sends even the tiny textbook groups to the pool.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(parallel, "MIN_PARALLEL_COMBINATIONS", 1)
+        yield
+
+
 def _limits(workers: int, **kwargs) -> GciLimits:
-    return GciLimits(workers=workers, min_parallel_combinations=1, **kwargs)
+    return GciLimits(workers=workers, **kwargs)
 
 
 def _solve(fixture: str, workers: int = 0, max_solutions=None, **kwargs):
@@ -104,14 +112,6 @@ def test_adversarially_warmed_cache_identical(mode):
     with cache.activate():
         warmed = solve(problem, limits=_limits(0, plan=mode))
     assert_same_solutions(_reference("wider.dprle"), warmed)
-
-
-def test_beam_width_knob_preserves_solutions():
-    for width in (1, 2, 7):
-        candidate = _solve(
-            "wide.dprle", workers=4, plan="beam", beam_width=width
-        )
-        assert_same_solutions(_reference("wide.dprle"), candidate)
 
 
 def test_solver_plan_kwarg_selects_planner():
