@@ -2,7 +2,7 @@
 
 dprle has one kernel per operation, and the heavy ones live here:
 subset construction, Hopcroft minimization, the cross product and the
-universal left quotient.  The public entry points in
+universal quotients.  The public entry points in
 :mod:`repro.automata.dfa` and :mod:`repro.automata.ops` add caching and
 instrumentation and then call these functions directly.  The kernels
 evaluate set-at-a-time: an NFA state *set* is a single Python ``int``
@@ -26,6 +26,12 @@ frontier propagation:
   rule generalized to multi-way splits) over sparse per-state move
   rows whose labels are minterm masks, splitting on every distinct
   incoming mask of a splitter block at once.
+* **Universal quotients** work on a :class:`Residual` — a complete DFA
+  whose states are residual languages — as state masks: a forward
+  image (:func:`post`), a backward universal mask (:func:`pre`) and a
+  multi-track universal run (:func:`run`).  Both quotients are two of
+  these passes; the GCI maximization folds them leaf by leaf over a
+  constraint's context without ever building the context's machine.
 
 Inclusion is not here: :mod:`repro.automata.equivalence` runs a lazy
 pair search that stops at the first counterexample and returns it,
@@ -62,7 +68,18 @@ from .nfa import Edge, Nfa
 if TYPE_CHECKING:  # pragma: no cover - types only
     from .dfa import Dfa
 
-__all__ = ["name", "determinize", "minimize_dfa", "product", "left_quotient"]
+__all__ = [
+    "name",
+    "determinize",
+    "minimize_dfa",
+    "product",
+    "Residual",
+    "post",
+    "pre",
+    "run",
+    "left_quotient",
+    "right_quotient",
+]
 
 #: The kernel set's name, recorded by benchmarks next to their numbers.
 name = "bitset"
@@ -80,17 +97,28 @@ class _Minterms:
     """A minterm refinement of a label collection, with memoized maps
     between :class:`CharSet` labels and minterm bitmasks."""
 
-    __slots__ = ("blocks", "reps", "full", "uncovered", "_label_masks", "_charsets")
+    __slots__ = (
+        "blocks",
+        "reps",
+        "ends",
+        "full",
+        "uncovered",
+        "_label_masks",
+        "_touch_masks",
+        "_charsets",
+    )
 
     def __init__(self, labels: list[CharSet], universe: CharSet) -> None:
         self.blocks = minterms(labels)
         self.reps = [block.min_char() for block in self.blocks]
+        self.ends = [block.ranges[-1][1] for block in self.blocks]
         self.full = (1 << len(self.blocks)) - 1
         covered: list[tuple[int, int]] = []
         for block in self.blocks:
             covered.extend(block.ranges)
         self.uncovered = universe - CharSet(covered)
         self._label_masks: dict[CharSet, int] = {}
+        self._touch_masks: dict[CharSet, int] = {}
         self._charsets: dict[int, CharSet] = {}
 
     def label_mask(self, label: CharSet) -> int:
@@ -113,6 +141,26 @@ class _Minterms:
                 if j > i:
                     mask |= (1 << j) - (1 << i)
             self._label_masks[label] = mask
+        return mask
+
+    def touch_mask(self, label: CharSet) -> int:
+        """The bitmask of minterm blocks that share a character with
+        ``label`` — which need not be a union of blocks (it may come
+        from another machine).  Per range: the block holding its low
+        end, if any, through the last block starting at or below its
+        high end."""
+        mask = self._touch_masks.get(label)
+        if mask is None:
+            mask = 0
+            reps = self.reps
+            for lo, hi in label.ranges:
+                i = bisect_right(reps, lo) - 1
+                if i < 0 or self.ends[i] < lo:
+                    i += 1
+                j = bisect_right(reps, hi)
+                if j > i:
+                    mask |= (1 << j) - (1 << i)
+            self._touch_masks[label] = mask
         return mask
 
     def charset(self, mask: int) -> CharSet:
@@ -696,135 +744,296 @@ def product(a: Nfa, b: Nfa) -> tuple[Nfa, dict[int, tuple[int, int]]]:
     return out, provenance
 
 
-# -- universal left quotient --------------------------------------------------
+# -- residual DFAs and the universal quotients --------------------------------
 
 
-def left_quotient(prefixes: Nfa, language: Nfa) -> Nfa:
-    """Universal left quotient by packed multi-track DFA runs.
+class Residual:
+    """A complete DFA compiled for set-at-a-time quotient work.
 
-    Determinize ``language`` (through the cached public entry point),
-    seed-search the DFA states reachable on ``prefixes``, then run all
-    tracks at once, accepting when every track accepts.  The track set
-    is one int bitmask and the whole per-minterm successor family of a
-    DFA state is one packed int (``n``-bit field per minterm): stepping
-    a track set on *all* minterms at once is one ``OR`` per member bit.
-    Minterms that land on the same track set are merged into one
-    transition — the result is only ever consumed as a language.
-    Visits count one per seed-search pair and one per interned track
-    set.
+    Every DFA state is a residual language — the strings that lead from
+    it into a final state — so a universal quotient by a context never
+    needs an automaton for the context itself: a pass over the DFA's
+    state *masks* (bit ``i`` = ``states[i]``, the states in sorted
+    order) under the context's machine is enough.  Three kernels read
+    one of these:
+
+    * :func:`post` — the forward image: the states some string of a
+      machine leads to from a mask;
+    * :func:`pre` — the backward universal mask: the states from which
+      *every* string of a machine ends inside a goal mask;
+    * :func:`run` — the multi-track universal run: the strings that
+      lead every track of a mask into a goal mask.
+
+    ``LQ(L, RQ(c, R)) = run(post(L, {start}), pre(R, finals))`` on the
+    residual of ``c``, and a context that is a concatenation folds leaf
+    by leaf (``post(L1·L2, S) = post(L2, post(L1, S))``, likewise
+    ``pre`` from the right), so the Galois maximization never builds a
+    context machine.
+
+    The minterm blocks of the DFA's own labels partition its universe,
+    and every state moves uniformly on each block, so a context label
+    acts through the blocks it *touches* — no joint refinement with the
+    context's labels is needed.  ``packed[i]`` holds the successor bit
+    of state ``i`` on block ``k`` in the ``n``-bit field ``k``: stepping
+    a mask on any block set is one ``OR`` per member bit; ``preds[k][d]``
+    is the mask of states stepping to ``d`` on block ``k``.  The image and
+    preimage memos (per ``(mask, blocks)``) live on the instance, so
+    their lifetime is the owner's.
     """
-    if prefixes.is_empty():
-        return Nfa.universal(language.alphabet)
-    dfa = dfa_mod.determinize(language)
-    states = sorted(dfa.transitions)
-    n = len(states)
-    index = {state: i for i, state in enumerate(states)}
 
-    # Minterms over the DFA labels *and* the prefix labels: every
-    # label either side uses is then an exact union of blocks.
-    labels = [
-        label for moves in dfa.transitions.values() for label, _ in moves
-    ]
-    labels.extend(
-        edge.label
-        for state in prefixes.states
-        for edge in prefixes.out_edges(state)
-        if edge.label is not None
+    __slots__ = (
+        "dfa",
+        "states",
+        "n",
+        "full",
+        "start_mask",
+        "finals_mask",
+        "space",
+        "packed",
+        "preds",
+        "_images",
+        "_preimages",
     )
-    space = _minterm_space(labels, language.alphabet.universe)
-    nmt = len(space.blocks)
-    label_mask = space.label_mask
 
-    # packed[i]: minterm-indexed n-bit fields, field k holding the
-    # successor bit of DFA state i on block k.  step[i][k] is the
-    # same successor as a plain index (for the pair search), or -1 on
-    # a block no DFA label covers: a prefix label may reach outside the
-    # alphabet universe, and no string of the language continues there.
-    packed = [0] * n
-    step = [[-1] * nmt for _ in range(n)]
-    for state, moves in dfa.transitions.items():
-        i = index[state]
-        row = step[i]
-        for label, dst in moves:
-            dbit = 1 << index[dst]
-            didx = index[dst]
-            for k in _bits(label_mask(label)):
-                packed[i] |= dbit << (k * n)
-                row[k] = didx
+    def __init__(self, dfa: Dfa) -> None:
+        states = sorted(dfa.transitions)
+        index = {state: i for i, state in enumerate(states)}
+        n = len(states)
+        space = _minterm_space(
+            [label for moves in dfa.transitions.values() for label, _ in moves],
+            dfa.alphabet.universe,
+        )
+        packed = [0] * n
+        # preds[k][d]: the states stepping to d on block k.
+        preds = [[0] * n for _ in space.blocks]
+        for state, moves in dfa.transitions.items():
+            i = index[state]
+            bit = 1 << i
+            acc = 0
+            for label, dst in moves:
+                d = index[dst]
+                for k in _bits(space.label_mask(label)):
+                    acc |= (1 << d) << (k * n)
+                    preds[k][d] |= bit
+            packed[i] = acc
+        finals = 0
+        for state in dfa.finals:
+            finals |= 1 << index[state]
+        self.dfa = dfa
+        self.states = states
+        self.n = n
+        self.full = (1 << n) - 1
+        self.start_mask = 1 << index[dfa.start]
+        self.finals_mask = finals
+        self.space = space
+        self.packed = packed
+        self.preds = preds
+        self._images: dict[tuple[int, int], int] = {}
+        self._preimages: dict[tuple[int, int], int] = {}
 
-    # Seed search: DFA states reachable on some string of
-    # ``prefixes`` — a (prefix state, DFA state) pair walk with label
-    # intersections as minterm-mask hits.
-    visited = 0
-    seeds = 0
-    start_d = index[dfa.start]
-    stack = [
-        (p, start_d) for p in prefixes.epsilon_closure(prefixes.starts)
-    ]
-    seen = set(stack)
-    prefix_finals = prefixes.finals
-    while stack:
-        p, d = stack.pop()
-        visited += 1
-        if p in prefix_finals:
-            seeds |= 1 << d
-        row = step[d]
-        for edge in prefixes.out_edges(p):
-            if edge.is_epsilon:
-                nxt = (edge.dst, d)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-            else:
-                for k in _bits(label_mask(edge.label)):
-                    successor = row[k]
-                    if successor < 0:
-                        continue
-                    nxt = (edge.dst, successor)
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-
-    # Universal run: track sets intern as ints; accepting iff every
-    # track is final.  The DFA is complete, so a nonempty track set
-    # steps to a nonempty one on every block inside the universe.
-    full_field = (1 << n) - 1
-    finals_mask = 0
-    for state in dfa.finals:
-        finals_mask |= 1 << index[state]
-    out = Nfa(language.alphabet)
-    ids: dict[int, int] = {}
-    worklist: list[int] = []
-
-    def intern(tracks: int) -> int:
-        sid = ids.get(tracks)
-        if sid is None:
-            sid = out.add_state()
-            ids[tracks] = sid
-            worklist.append(tracks)
-        return sid
-
-    out.starts = {intern(seeds)}
-    while worklist:
-        tracks = worklist.pop()
-        src = ids[tracks]
-        visited += 1
-        if tracks and not (tracks & ~finals_mask):
-            out.finals.add(src)
+    def successors(self, mask: int) -> int:
+        """The packed successor fields of ``mask``: field ``k`` is its
+        image on block ``k``."""
         acc = 0
-        mask = tracks
+        packed = self.packed
         while mask:
             low = mask & -mask
             mask ^= low
             acc |= packed[low.bit_length() - 1]
+        return acc
+
+    def image(self, mask: int, blocks: int) -> int:
+        """The states reached from ``mask`` on some block of ``blocks``."""
+        key = (mask, blocks)
+        found = self._images.get(key)
+        if found is None:
+            acc = self.successors(mask)
+            n = self.n
+            full = self.full
+            found = 0
+            for k in _bits(blocks):
+                found |= (acc >> (k * n)) & full
+            if len(self._images) >= _MASK_MEMO_LIMIT:
+                self._images.clear()
+            self._images[key] = found
+        return found
+
+    def preimage(self, mask: int, blocks: int) -> int:
+        """The states that step into ``mask`` on some block of ``blocks``."""
+        key = (mask, blocks)
+        found = self._preimages.get(key)
+        if found is None:
+            found = 0
+            for k in _bits(blocks):
+                row = self.preds[k]
+                for d in _bits(mask):
+                    found |= row[d]
+            if len(self._preimages) >= _MASK_MEMO_LIMIT:
+                self._preimages.clear()
+            self._preimages[key] = found
+        return found
+
+
+#: Entries per image/preimage memo before it is cleared wholesale.
+_MASK_MEMO_LIMIT = 1 << 16
+
+
+def post(res: Residual, machine: Nfa, tracks: int) -> int:
+    """The forward image of ``tracks`` under ``L(machine)``: the states
+    ``δ(d, u)`` for ``d`` in ``tracks`` and ``u`` a string of
+    ``machine`` (characters outside the universe lead nowhere).
+
+    A pair walk over (machine state, DFA state) done set-at-a-time:
+    each machine state carries the mask of DFA states it has been
+    reached with, and only the newly added bits propagate.  Visits
+    count one per pair.
+    """
+    reached: dict[int, int] = {}
+    stack: list[tuple[int, int]] = []
+    if tracks:
+        for p in sorted(machine.starts):
+            reached[p] = tracks
+            stack.append((p, tracks))
+    touch = res.space.touch_mask
+    image = res.image
+    visited = 0
+    while stack:
+        p, new = stack.pop()
+        visited += new.bit_count()
+        for edge in machine.out_edges(p):
+            if edge.label is None:
+                moved = new
+            else:
+                blocks = touch(edge.label)
+                if not blocks:
+                    continue
+                moved = image(new, blocks)
+            have = reached.get(edge.dst, 0)
+            fresh = moved & ~have
+            if fresh:
+                reached[edge.dst] = have | fresh
+                stack.append((edge.dst, fresh))
+    obs.visit_states(visited)
+    out = 0
+    for state in machine.finals:
+        out |= reached.get(state, 0)
+    return out
+
+
+def pre(res: Residual, machine: Nfa, goal: int) -> int:
+    """The backward universal mask: the states ``d`` with ``δ(d, u)`` in
+    ``goal`` for every string ``u`` of ``machine`` — on the residual of
+    ``c``, the DFA states of the universal right quotient of ``c`` by a
+    context ending in ``goal``.
+
+    The complement is found by a backward pair walk: seeded with every
+    (final, state outside ``goal``) pair, it collects the (machine
+    state, DFA state) pairs from which some string escapes ``goal``.
+    Visits count one per such pair.  Characters outside the universe
+    lead nowhere, so they never make a state escape.
+    """
+    full = res.full
+    escape = full & ~goal
+    visited = 0
+    blocked = 0
+    if escape and machine.finals:
+        touch = res.space.touch_mask
+        # into[q]: (source, blocks) per edge into q; blocks -1 is ε.
+        into: dict[int, list[tuple[int, int]]] = {}
+        for src, edge in machine.edges():
+            if edge.label is None:
+                blocks = -1
+            else:
+                blocks = touch(edge.label)
+                if not blocks:
+                    continue
+            into.setdefault(edge.dst, []).append((src, blocks))
+        preimage = res.preimage
+        bad: dict[int, int] = {}
+        stack: list[tuple[int, int]] = []
+        for q in sorted(machine.finals):
+            bad[q] = escape
+            stack.append((q, escape))
+        while stack:
+            q, new = stack.pop()
+            visited += new.bit_count()
+            for src, blocks in into.get(q, ()):
+                moved = new if blocks < 0 else preimage(new, blocks)
+                have = bad.get(src, 0)
+                fresh = moved & ~have
+                if fresh:
+                    bad[src] = have | fresh
+                    stack.append((src, fresh))
+        for state in machine.starts:
+            blocked |= bad.get(state, 0)
+    obs.visit_states(visited)
+    return full & ~blocked
+
+
+def run(res: Residual, tracks: int, goal: int) -> Nfa:
+    """The multi-track universal run: ``{w | δ(tracks, w) ⊆ goal}``.
+
+    Track sets intern as ints; one is accepting iff it is non-empty and
+    inside ``goal`` (so an empty ``tracks`` gives the empty language).
+    The DFA is complete, so a non-empty track set steps to a non-empty
+    one on every block.  Blocks that land on the same track set merge
+    into one transition — the result is only ever consumed as a
+    language.  Visits count one per interned track set.
+    """
+    n = res.n
+    full = res.full
+    nmt = len(res.space.blocks)
+    charset = res.space.charset
+    out = Nfa(res.dfa.alphabet)
+    ids: dict[int, int] = {}
+    worklist: list[int] = []
+
+    def intern(target: int) -> int:
+        sid = ids.get(target)
+        if sid is None:
+            sid = out.add_state()
+            ids[target] = sid
+            worklist.append(target)
+        return sid
+
+    out.starts = {intern(tracks)}
+    visited = 0
+    while worklist:
+        current = worklist.pop()
+        src = ids[current]
+        visited += 1
+        if current and not (current & ~goal):
+            out.finals.add(src)
+        acc = res.successors(current)
         by_target: dict[int, int] = {}
         for k in range(nmt):
-            target = (acc >> (k * n)) & full_field
+            target = (acc >> (k * n)) & full
             if target:
                 by_target[target] = by_target.get(target, 0) | (1 << k)
         for target, blocks in by_target.items():
-            out.add_transition(src, space.charset(blocks), intern(target))
+            out.add_transition(src, charset(blocks), intern(target))
     obs.visit_states(visited)
+    return out
+
+
+def left_quotient(prefixes: Nfa, language: Nfa) -> Nfa:
+    """Universal left quotient: determinize ``language`` (through the
+    cached public entry point), take the forward image of its start
+    under ``prefixes``, and run every reached state at once."""
+    if prefixes.is_empty():
+        return Nfa.universal(language.alphabet)
+    res = Residual(dfa_mod.determinize(language))
+    return run(res, post(res, prefixes, res.start_mask), res.finals_mask)
+
+
+def right_quotient(language: Nfa, suffixes: Nfa) -> Nfa:
+    """Universal right quotient: ``language``'s own DFA with the finals
+    replaced by ``pre(suffixes, finals)``."""
+    res = Residual(dfa_mod.determinize(language))
+    out = res.dfa.to_nfa()
+    # to_nfa numbers the states densely in sorted order, as the
+    # residual's masks do.
+    out.finals = set(_bits(pre(res, suffixes, res.finals_mask)))
     return out
 
 

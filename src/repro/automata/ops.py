@@ -291,14 +291,13 @@ def left_quotient(prefixes: Nfa, language: Nfa) -> Nfa:
     constant must lead into the target language.  If ``prefixes`` is
     empty the condition is vacuous and the result is ``Σ*``.
 
-    Construction: determinize ``language``; collect the set ``S`` of
-    DFA states reachable from its start on some string of
-    ``prefixes`` (via a product walk); then run the DFA from all of
-    ``S`` simultaneously, accepting when *every* track accepts.
+    Construction (:func:`repro.automata.bitset.left_quotient`):
+    determinize ``language``; take the set ``S`` of DFA states reached
+    from its start on some string of ``prefixes`` (``bitset.post``);
+    then run the DFA from all of ``S`` simultaneously, accepting when
+    *every* track accepts (``bitset.run``).
 
-    Signature-memoized by the active language cache — the Galois
-    maximization recomputes identical quotients across bridge
-    combinations, which is exactly the repetition this shortcuts.
+    Signature-memoized by the active language cache.
     """
     cache = active_cache()
     if cache is not None:
@@ -319,7 +318,13 @@ def _left_quotient_instrumented(prefixes: Nfa, language: Nfa) -> Nfa:
 
 
 def right_quotient(language: Nfa, suffixes: Nfa) -> Nfa:
-    """The universal right quotient ``{w | ∀u ∈ L(suffixes): w·u ∈ L(language)}``."""
+    """The universal right quotient ``{w | ∀u ∈ L(suffixes): w·u ∈ L(language)}``.
+
+    Construction (:func:`repro.automata.bitset.right_quotient`): the DFA
+    of ``language`` itself, with a state final iff every string of
+    ``suffixes`` leads from it to a final state (``bitset.pre``).
+    Signature-memoized by the active language cache.
+    """
     cache = active_cache()
     if cache is not None:
         return cache.right_quotient(language, suffixes)
@@ -329,6 +334,6 @@ def right_quotient(language: Nfa, suffixes: Nfa) -> Nfa:
 def _right_quotient_instrumented(language: Nfa, suffixes: Nfa) -> Nfa:
     obs.count_operation("right_quotient")
     with obs.span("right_quotient", states_in=language.num_states) as sp:
-        result = reverse(left_quotient(reverse(suffixes), reverse(language)))
+        result = bitset.right_quotient(language, suffixes)
         sp.set("states_out", result.num_states)
         return result

@@ -160,7 +160,6 @@ COUNTERS: frozenset[str] = frozenset(
         "gci.pair_memo_misses",
         "gci.slice_memo_hits",
         "gci.slice_memo_misses",
-        "gci.maximize_capped",
         "parallel.chunks_pruned",
         "cache.store.hits",
         "cache.store.misses",

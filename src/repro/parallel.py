@@ -194,10 +194,7 @@ def encode_group(prepared, limits) -> dict[str, Any]:
                 else None
             ),
         },
-        "limits": {
-            "maximize": limits.maximize,
-            "max_maximize_rounds": limits.max_maximize_rounds,
-        },
+        "limits": {"maximize": limits.maximize},
         "collect": bool(obs.active_sinks()),
     }
 
@@ -290,7 +287,6 @@ def _decode_payload(payload: dict[str, Any]) -> _WorkerState:
     )
     limits = gci.GciLimits(
         maximize=payload["limits"]["maximize"],
-        max_maximize_rounds=payload["limits"]["max_maximize_rounds"],
         workers=0,
     )
     return _WorkerState(prepared, limits, payload["collect"])

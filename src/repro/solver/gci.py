@@ -26,11 +26,12 @@ Three hygiene measures keep the output consistent with the paper's
   image with a possibly *smaller* sliced language — satisfying but not
   maximal.  The paper's figures draw constants ε-free for this reason.
 * Each candidate is *closed* under a Galois maximization: every
-  variable is re-assigned the largest language that keeps all the
-  group's constraints satisfied given the other variables' current
-  values, computed with universal left/right quotients, until a fixed
-  point.  This is what turns the per-ε-transition slices of the
-  Sec. 3.1.1 example (``(xyy, z)``, ``(xyy, yyz)``, ``(xyyyy, z)``)
+  variable is re-assigned, in one pass, the largest language that
+  keeps all the group's constraints satisfied given the other
+  variables' current values, computed with universal quotients on the
+  residual DFAs of the constraint constants (see
+  :func:`_maximize_solution`).  This is what turns the
+  per-ε-transition slices of the Sec. 3.1.1 example (``(xyy, z)``, ``(xyy, yyz)``, ``(xyyyy, z)``)
   into the paper's maximal answers ``A1 = (xyy, z|yyz)`` and
   ``A2 = (x(yy|yyyy), z)``.
 * Surviving solutions that are pointwise subsumed by another solution
@@ -57,11 +58,11 @@ bridge-ε choices, exactly one choice per concatenation in the group.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from .. import obs
-from ..automata import ops
-from ..automata.dfa import minimize_nfa
+from ..automata import bitset, ops
+from ..automata.dfa import determinize, minimize_nfa
 from ..automata.equivalence import equivalent, is_subset
 from ..automata.nfa import BridgeTag, Nfa
 from ..cache import CacheLimits, active_cache
@@ -120,6 +121,11 @@ class GciLimits:
     Every mode preserves the output stream exactly (same solutions,
     same order) — the planner only removes work that is provably
     redundant.
+
+    ``maximize`` closes every viable candidate under the Galois
+    maximization (:func:`_maximize_solution`): one pass over the
+    variables, which is already the fixpoint, so there is no round
+    limit and no possibly-non-maximal result to report.
     """
 
     max_solutions: Optional[int] = None
@@ -127,7 +133,6 @@ class GciLimits:
     dedupe: bool = True
     prune_subsumed: bool = True
     maximize: bool = True
-    max_maximize_rounds: int = 3
     minimize_leaves: bool = False
     cache: Optional[CacheLimits] = None
     workers: Optional[int] = None
@@ -228,6 +233,13 @@ class _PreparedGroup:
     empty) keyed by the two occurrences' boundary keys; factoring fills
     it and :func:`_slice_combination` reads it back.
 
+    ``residuals`` holds the residual DFA of each constraint constant
+    (parallel to ``constraint_specs``), built by :func:`_residuals` the
+    first time the group is maximized; ``quotient_memo`` memoizes the
+    maximization's ``post``/``pre`` passes over constant leaves and its
+    ``run`` results, keyed by spec index (see :func:`_admissible`).
+    Both live and die with the group.
+
     ``plan`` is the enumeration planner's verdict
     (:class:`repro.solver.plan.EnumerationPlan`, ``None`` when
     ``GciLimits.plan`` is ``"off"``).  Planning may collapse
@@ -248,6 +260,8 @@ class _PreparedGroup:
     factored_combinations: int
     slice_memo: dict[tuple, Optional[Nfa]] = field(default_factory=dict)
     pair_memo: dict[tuple, Optional[Nfa]] = field(default_factory=dict)
+    residuals: Optional[list[bitset.Residual]] = None
+    quotient_memo: dict[tuple, Any] = field(default_factory=dict)
     plan: Optional[Any] = None
 
     @property
@@ -333,6 +347,8 @@ def _iter_candidates(
     stop = total if stop is None else min(stop, total)
     if start >= stop:
         return
+    if limits.maximize:
+        _residuals(prepared)
     plan = prepared.plan
     if plan is not None and plan.mask is not None:
         # Planned walk: only the viability-mask survivors, by index.
@@ -361,13 +377,7 @@ def _iter_candidates(
             solution = _slice_combination(prepared, chosen)
             if solution is not None and limits.maximize:
                 with obs.span("gci_maximize"):
-                    solution = _maximize_solution(
-                        solution,
-                        prepared.machines,
-                        prepared.constraint_specs,
-                        prepared.var_nodes,
-                        limits,
-                    )
+                    solution = _maximize_solution(prepared, solution)
             sp.set("viable", solution is not None)
         if solution is not None:
             yield index, solution
@@ -1042,87 +1052,135 @@ def _flatten_leaves(graph: DepGraph, group: set[Node], temp: Node) -> list[Node]
     return out
 
 
+def _residuals(prepared: "_PreparedGroup") -> list[bitset.Residual]:
+    """The residual DFA of each constraint constant, built once per
+    group on first use (before the walk, so the determinizations sit
+    outside every ``gci_maximize`` span)."""
+    if prepared.residuals is None:
+        prepared.residuals = [
+            bitset.Residual(determinize(const))
+            for const, _ in prepared.constraint_specs
+        ]
+    return prepared.residuals
+
+
 def _maximize_solution(
-    solution: dict[Node, Nfa],
-    leaf_machines: dict[Node, Nfa],
-    constraint_specs: list[tuple[Nfa, list[Node]]],
-    var_nodes: list[Node],
-    limits: GciLimits,
+    prepared: "_PreparedGroup", solution: dict[Node, Nfa]
 ) -> dict[Node, Nfa]:
     """Close a satisfying candidate under the Galois maximization.
 
-    For each variable in turn, compute the largest language that keeps
-    every constraint satisfied with the *other* leaves fixed at their
-    current values: for an occurrence with left context ``L`` and right
-    context ``R`` inside a constraint ``⊆ c``, the admissible strings
-    are ``LQ(L, RQ(c, R))`` (universal quotients).  Languages only grow
-    (the current value is always admissible), so iterating to a fixed
-    point — usually one round — yields a maximal assignment.  When the
-    ``max_maximize_rounds``-th round still changes a variable, the
-    possibly non-maximal result is counted in ``gci.maximize_capped``.
+    One Gauss–Seidel pass: each variable ``x`` in turn is assigned
+    ``cap = leaf(x) ∩ Adm(x)``, where ``leaf(x)`` is its stage-1 machine
+    (its own subset constraints) and ``Adm(x)`` the strings every
+    constraint admits at each occurrence of ``x`` with the other leaves
+    fixed at their current values — ``LQ(L, RQ(c, R))`` for left context
+    ``L`` and right context ``R`` inside ``… ⊆ c`` (universal quotients).
+
+    Why one pass reaches the fixpoint.  For a variable occurring at most
+    once per constraint, ``Adm`` is antitone in the other variables (a
+    larger context admits fewer strings), and each update keeps the
+    assignment satisfying: ``cap`` satisfies every constraint on ``x``
+    by construction, and ``cap ⊇ current[x]`` because the assignment
+    satisfied them before.  So languages only grow.  Take ``x``,
+    assigned ``cap`` at its turn; the variables updated after it only
+    grew, so a second round would compute ``cap' ⊆ cap`` by
+    antitonicity, and ``cap' ⊇ current[x] = cap`` because the final
+    assignment is satisfying: ``cap' = cap``.  No variable can grow
+    alone any more, which is the paper's *Maximal* (Sec. 3.3), without
+    a second round or an inclusion check.  A variable occurring twice in
+    one constraint breaks antitonicity (the quotient for one occurrence
+    holds the other fixed, so ``v·v ⊆ c`` need not hold for the grown
+    language), so such variables keep their sliced (sound) value.
+
+    Since ``cap ⊆ Adm`` always, the pass also repairs a candidate whose
+    slices do not satisfy a constraint (a constant operand is sliced
+    existentially): the variables shrink to a satisfying assignment
+    instead of keeping the slice.
+
+    ``Adm`` is computed on the residual DFA of the constant, never on a
+    context machine; see :func:`_admissible`.
     """
     current: dict[Node, Nfa] = dict(solution)
-
-    def value(node: Node) -> Nfa:
-        if node in current:
-            return current[node]
-        return leaf_machines[node]  # constants stay fixed
-
-    # A variable occurring twice in one constraint cannot be maximized
-    # this way: the quotient for one occurrence holds the *other*
-    # occurrence fixed at the current value, so the grown language is
-    # not guaranteed to satisfy the constraint when substituted at both
-    # positions simultaneously (e.g. v·v ⊆ c).  Such variables keep
-    # their sliced (sound) value.
+    specs = prepared.constraint_specs
     nonlinear = {
         var
-        for var in var_nodes
-        for _, leaf_seq in constraint_specs
+        for var in prepared.var_nodes
+        for _, leaf_seq in specs
         if leaf_seq.count(var) > 1
     }
-
-    changed = False
-    for _ in range(limits.max_maximize_rounds):
-        changed = False
-        for var in var_nodes:
-            if var in nonlinear:
-                continue
-            # The variable's own subset constraints are baked into its
-            # stage-1 leaf machine.
-            cap = leaf_machines[var]
-            for const, leaf_seq in constraint_specs:
-                for idx, leaf in enumerate(leaf_seq):
-                    if leaf != var:
-                        continue
-                    left = _concat_all(
-                        [value(n) for n in leaf_seq[:idx]], cap.alphabet
-                    )
-                    right = _concat_all(
-                        [value(n) for n in leaf_seq[idx + 1 :]], cap.alphabet
-                    )
-                    admissible = ops.left_quotient(
-                        left, ops.right_quotient(const, right)
+    for var in prepared.var_nodes:
+        if var in nonlinear:
+            continue
+        cap = prepared.machines[var]
+        for spec_index, (_, leaf_seq) in enumerate(specs):
+            for idx, leaf in enumerate(leaf_seq):
+                if leaf == var:
+                    admissible = _admissible(
+                        prepared, spec_index, idx, current
                     )
                     cap = ops.intersect(cap, admissible).trim()
-            if not is_subset(cap, current[var]):
-                current[var] = cap
-                changed = True
-        if not changed:
-            break
-    if changed:
-        # The last allowed round still grew a variable: the assignment
-        # satisfies the group but may not be maximal yet.
-        obs.increment_metric("gci.maximize_capped")
+        current[var] = cap
     return current
 
 
-def _concat_all(parts: list[Nfa], alphabet) -> Nfa:
-    if not parts:
-        return Nfa.epsilon_only(alphabet)
-    machine = parts[0]
-    for part in parts[1:]:
-        machine = ops.concat(machine, part)
-    return machine
+def _admissible(
+    prepared: "_PreparedGroup",
+    spec_index: int,
+    idx: int,
+    current: dict[Node, Nfa],
+) -> Nfa:
+    """``LQ(L, RQ(c, R))`` for the occurrence ``leaf_seq[idx]`` of
+    constraint ``spec_index``, on the residual DFA of ``c``.
+
+    The goal mask ``G = pre(R, finals)`` folds the right leaves from the
+    right, the track mask ``S = post(L, {start})`` folds the left leaves
+    from the left, and the admissible strings are ``run(S, G)``.  A
+    constant leaf is the same machine for every candidate, so its
+    ``post``/``pre`` steps are memoized per ``(spec index, node,
+    mask)``; ``run`` depends on ``(spec index, S, G)`` alone.  The
+    passes count as the ``right_quotient`` (``pre``) and
+    ``left_quotient`` (``post`` and ``run``) operations.
+    """
+    res = _residuals(prepared)[spec_index]
+    leaf_seq = prepared.constraint_specs[spec_index][1]
+    memo = prepared.quotient_memo
+
+    def fold(
+        kind: str,
+        kernel: Callable[[bitset.Residual, Nfa, int], int],
+        mask: int,
+        leaves: list[Node],
+    ) -> int:
+        for leaf in leaves:
+            machine = current.get(leaf)
+            if machine is not None:  # a variable: its value varies
+                mask = kernel(res, machine, mask)
+                continue
+            key = (kind, spec_index, leaf, mask)
+            found = memo.get(key)
+            if found is None:
+                found = kernel(res, prepared.machines[leaf], mask)
+                memo[key] = found
+            mask = found
+        return mask
+
+    obs.count_operation("right_quotient")
+    with obs.span("right_quotient"):
+        goal = fold(
+            "pre", bitset.pre, res.finals_mask, leaf_seq[idx + 1 :][::-1]
+        )
+    obs.count_operation("left_quotient")
+    with obs.span("left_quotient"):
+        tracks = fold("post", bitset.post, res.start_mask, leaf_seq[:idx])
+        if not tracks:
+            # An empty left context constrains nothing: LQ(∅, ·) = Σ*.
+            return Nfa.universal(res.dfa.alphabet)
+        key = ("run", spec_index, tracks, goal)
+        admissible = memo.get(key)
+        if admissible is None:
+            admissible = bitset.run(res, tracks, goal)
+            memo[key] = admissible
+    return admissible
 
 
 def _pointwise_equivalent(a: dict[Node, Nfa], b: dict[Node, Nfa]) -> bool:

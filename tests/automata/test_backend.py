@@ -4,16 +4,18 @@ The bitset kernels must be *observationally identical* to the
 straightforward set-based constructions (see docs/BACKENDS.md):
 determinize and product are pinned structure-identical (same states,
 numbering, edges, bridge tags, provenance), Hopcroft language-equal
-with the same minimal state count, and the left quotient language-
-equal.
+with the same minimal state count, the residual passes mask-identical,
+and both universal quotients language-equal to the constructions they
+replaced.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.automata import bitset, serialize
+from repro.automata import bitset, ops, serialize
 from repro.automata.backend import active_backend
+from repro.automata.dfa import determinize
 from repro.automata.equivalence import equivalent
 from repro.automata.nfa import Nfa
 from repro.automata.ops import concat, union
@@ -114,3 +116,92 @@ class TestKernelEquivalence:
         assert equivalent(
             oracle.left_quotient(prefixes, b), bitset.left_quotient(prefixes, b)
         )
+
+
+def _with_outside(machine: Nfa, outside: str) -> Nfa:
+    # Labels may reach outside the alphabet universe ("x" is not in
+    # {a, b}); no string of a residual continues there.
+    if outside == "union":
+        return union(machine, Nfa.literal("x", AB))
+    if outside == "concat":
+        return concat(machine, Nfa.literal("x", AB))
+    return machine
+
+
+class TestResidualKernels:
+    """post, pre and run against the set-based oracle passes, and the
+    quotients built from them against the constructions they replaced
+    (the seed-search left quotient, ``reverse ∘ LQ ∘ reverse``)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        machines(max_depth=2),
+        machines(max_depth=2),
+        st.integers(min_value=0),
+        st.integers(min_value=0),
+        st.sampled_from(["none", "union", "concat"]),
+    )
+    def test_passes_match_oracle(
+        self, language, context, seed, goal_seed, outside
+    ):
+        context = _with_outside(context, outside)
+        res = bitset.Residual(determinize(language))
+        tracks = seed & res.full
+        goal = goal_seed & res.full
+        assert bitset.post(res, context, tracks) == oracle.post(
+            res, context, tracks
+        )
+        assert bitset.pre(res, context, goal) == oracle.pre(res, context, goal)
+        assert equivalent(
+            bitset.run(res, tracks, goal), oracle.run(res, tracks, goal)
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        machines(max_depth=2),
+        machines(max_depth=2),
+        st.sampled_from(["none", "union"]),
+    )
+    def test_quotients_match_replaced_constructions(
+        self, language, context, outside
+    ):
+        prefixes = _with_outside(context, outside)
+        assert equivalent(
+            ops.left_quotient(prefixes, language),
+            oracle.left_quotient(prefixes, language),
+        )
+        assert equivalent(
+            ops.right_quotient(language, prefixes),
+            oracle.right_quotient(language, prefixes),
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        machines(max_depth=2),
+        st.lists(machines(max_depth=1), min_size=0, max_size=2),
+        st.lists(machines(max_depth=1), min_size=0, max_size=2),
+    )
+    def test_folded_contexts_are_the_quotient_of_the_concatenation(
+        self, constant, lefts, rights
+    ):
+        """``run(post(L1·L2, start), pre(R1·R2, F)) = LQ(L1·L2, RQ(c,
+        R1·R2))``, folding the passes leaf by leaf — the admissible set
+        of the GCI maximization."""
+        res = bitset.Residual(determinize(constant))
+        tracks = res.start_mask
+        for leaf in lefts:
+            tracks = bitset.post(res, leaf, tracks)
+        goal = res.finals_mask
+        for leaf in reversed(rights):
+            goal = bitset.pre(res, leaf, goal)
+
+        def joined(parts: list[Nfa]) -> Nfa:
+            out = Nfa.epsilon_only(AB)
+            for part in parts:
+                out = concat(out, part)
+            return out
+
+        expected = oracle.left_quotient(
+            joined(lefts), oracle.right_quotient(constant, joined(rights))
+        )
+        assert equivalent(bitset.run(res, tracks, goal), expected)

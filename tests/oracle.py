@@ -1,9 +1,11 @@
 """The oracle kernels: straightforward set-based constructions.
 
-These are the textbook versions of the four heavy automata kernels —
-subset construction, Hopcroft minimization, the cross product and the
-universal left quotient — over Python sets and ``CharSet`` intervals,
-plus the per-pair inclusion search and the all-states trim.  They are
+These are the textbook versions of the heavy automata kernels —
+subset construction, Hopcroft minimization, the cross product, the
+residual passes (forward image, backward universal mask, universal
+run) and the two universal quotients — over Python sets and
+``CharSet`` intervals, plus the per-pair inclusion search and the
+all-states trim.  They are
 slow and obviously correct, and the production kernels in
 :mod:`repro.automata.bitset`, :mod:`repro.automata.equivalence` and
 :class:`~repro.automata.nfa.Nfa` are tested against them:
@@ -12,14 +14,22 @@ slow and obviously correct, and the production kernels in
   states in the same numbering, same edges, labels, bridge tags and
   provenance;
 * ``minimize_dfa`` must agree on the language and the minimal size;
-* ``left_quotient`` must agree on the language;
+* ``post``, ``pre`` and ``run`` must agree exactly: the same state
+  masks, and a language-equal run;
+* ``left_quotient`` and ``right_quotient`` must agree on the language.
+  They are the constructions the production kernels replaced: the left
+  quotient seed-searches a pair walk and runs the seeds (no
+  ``post``/``run`` factoring), the right quotient is
+  ``reverse ∘ left_quotient ∘ reverse``;
 * ``counterexample`` must agree on the verdict and the string;
 * ``trim`` must agree on states, per-state edge lists, starts, finals
   and the next state id.
 
 Each kernel counts visits one by one (``obs.visit_states(1)``) exactly
 where the production kernels count them in batches, so a solve under
-either kernel set leaves the same counters.  :func:`use_kernels`
+either kernel set leaves the same counters — except the right
+quotient, whose reversal construction counts the visits of a left
+quotient on the reversed machines.  :func:`use_kernels`
 swaps the oracle in for a block, which is how the end-to-end
 equivalence suites run the solver on both.
 """
@@ -31,7 +41,7 @@ from contextlib import contextmanager
 from typing import Iterator, Optional
 
 from repro import obs
-from repro.automata import bitset
+from repro.automata import bitset, ops
 from repro.automata.charset import CharSet, minterms
 from repro.automata.dfa import Dfa, determinize as cached_determinize
 from repro.automata.nfa import Nfa
@@ -41,7 +51,11 @@ __all__ = [
     "determinize",
     "minimize_dfa",
     "product",
+    "post",
+    "pre",
+    "run",
     "left_quotient",
+    "right_quotient",
     "counterexample",
     "trim",
     "structure",
@@ -295,6 +309,126 @@ def left_quotient(prefixes: Nfa, language: Nfa) -> Nfa:
     return out
 
 
+def right_quotient(language: Nfa, suffixes: Nfa) -> Nfa:
+    return ops.reverse(left_quotient(ops.reverse(suffixes), ops.reverse(language)))
+
+
+def _touches(label: CharSet, dfa: Dfa, state: int) -> list[int]:
+    """The successors of DFA ``state`` on some character of ``label``."""
+    return [
+        dst
+        for move, dst in dfa.transitions[state]
+        if not (label & move).is_empty()
+    ]
+
+
+def post(res: bitset.Residual, machine: Nfa, tracks: int) -> int:
+    """(machine state, DFA state) pairs reachable from the starts paired
+    with ``tracks``, one ``visit_states(1)`` per pair popped; the DFA
+    states paired with a final."""
+    dfa = res.dfa
+    index = {state: i for i, state in enumerate(res.states)}
+    stack = [
+        (p, res.states[i])
+        for p in sorted(machine.starts)
+        for i in range(res.n)
+        if tracks >> i & 1
+    ]
+    seen = set(stack)
+    while stack:
+        p, d = stack.pop()
+        obs.visit_states(1)
+        for edge in machine.out_edges(p):
+            if edge.is_epsilon:
+                successors = [(edge.dst, d)]
+            else:
+                successors = [
+                    (edge.dst, dst) for dst in _touches(edge.label, dfa, d)
+                ]
+            for nxt in successors:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+    out = 0
+    for p, d in seen:
+        if p in machine.finals:
+            out |= 1 << index[d]
+    return out
+
+
+def pre(res: bitset.Residual, machine: Nfa, goal: int) -> int:
+    """A backward pair search from every (final, state outside
+    ``goal``) pair, one ``visit_states(1)`` per pair popped; the DFA
+    states no start pairs with."""
+    dfa = res.dfa
+    index = {state: i for i, state in enumerate(res.states)}
+    preds: dict[int, list[tuple[int, Optional[CharSet]]]] = {}
+    for src, edge in machine.edges():
+        preds.setdefault(edge.dst, []).append((src, edge.label))
+    stack = [
+        (q, d)
+        for q in sorted(machine.finals)
+        for d in res.states
+        if not goal >> index[d] & 1
+    ]
+    seen = set(stack)
+    while stack:
+        q, d = stack.pop()
+        obs.visit_states(1)
+        for src, label in preds.get(q, []):
+            if label is None:
+                candidates = [(src, d)]
+            else:
+                candidates = [
+                    (src, d0)
+                    for d0 in res.states
+                    if d in _touches(label, dfa, d0)
+                ]
+            for nxt in candidates:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+    blocked = {d for p, d in seen if p in machine.starts}
+    out = 0
+    for d in res.states:
+        if d not in blocked:
+            out |= 1 << index[d]
+    return out
+
+
+def run(res: bitset.Residual, tracks: int, goal: int) -> Nfa:
+    """The universal run over frozensets of DFA states, fresh minterms
+    per subset, one ``visit_states(1)`` per subset."""
+    dfa = res.dfa
+    members = lambda mask: frozenset(
+        res.states[i] for i in range(res.n) if mask >> i & 1
+    )
+    accepting = members(goal)
+    out = Nfa(dfa.alphabet)
+    ids: dict[frozenset[int], int] = {}
+    worklist: list[frozenset[int]] = []
+
+    def intern(subset: frozenset[int]) -> int:
+        if subset not in ids:
+            ids[subset] = out.add_state()
+            worklist.append(subset)
+        return ids[subset]
+
+    out.starts = {intern(members(tracks))}
+    while worklist:
+        subset = worklist.pop()
+        src = ids[subset]
+        obs.visit_states(1)
+        if subset and subset <= accepting:
+            out.finals.add(src)
+        labels = [label for d in sorted(subset) for label, _ in dfa.transitions[d]]
+        for block in minterms(labels):
+            rep = block.min_char()
+            target = frozenset(dfa.delta(d, rep) for d in subset)
+            out.add_transition(src, block, intern(target))
+    return out
+
+
 def counterexample(a: Nfa, b: Nfa) -> Optional[str]:
     """The inclusion search pair by pair: fresh minterms and interval
     lookups for every pair, one ``visit_states(1)`` per pair popped."""
@@ -365,7 +499,11 @@ _ORACLE = {
     "determinize": determinize,
     "minimize_dfa": minimize_dfa,
     "product": product,
+    "post": post,
+    "pre": pre,
+    "run": run,
     "left_quotient": left_quotient,
+    "right_quotient": right_quotient,
 }
 
 

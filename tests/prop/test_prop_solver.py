@@ -117,3 +117,40 @@ def test_unsat_never_produces_spurious_witness(attack):
         assert attack.accepts(witness)
     else:
         assert attack.is_empty()
+
+
+@SETTINGS
+@given(
+    machines(max_depth=2),
+    machines(max_depth=2),
+    machines(max_depth=2),
+    machines(max_depth=2),
+)
+def test_maximization_is_idempotent(c1, c2, c3, k):
+    """The one-pass maximization returns a fixpoint: applied to its own
+    output it changes no variable's language."""
+    from repro.automata.equivalence import equivalent
+    from repro.constraints import build_graph
+    from repro.solver import gci
+
+    problem = Problem(
+        [
+            Subset(Var("x"), Const("c1", c1)),
+            Subset(Var("y"), Const("c2", c2)),
+            Subset(
+                Var("x").concat(Const("k", k)).concat(Var("y")),
+                Const("c3", c3),
+            ),
+        ],
+        alphabet=AB,
+    )
+    graph, _ = build_graph(problem)
+    limits = GciLimits(max_combinations=10_000)
+    for group in graph.ci_groups():
+        prepared = gci._prepare_group(graph, group, limits)
+        if prepared is None:
+            continue
+        for _, solution in gci._iter_candidates(prepared, limits, 0, None):
+            again = gci._maximize_solution(prepared, solution)
+            for node, grown in again.items():
+                assert equivalent(grown, solution[node]), node

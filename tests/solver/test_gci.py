@@ -4,7 +4,6 @@ import pathlib
 
 import pytest
 
-from repro import obs
 from repro.automata import enumerate_strings, equivalent, is_subset, ops
 from repro.constraints import Node, Subset, Var, build_graph, parse_problem
 from repro.constraints.terms import ConcatTerm, Const, Problem
@@ -359,11 +358,11 @@ class TestOccurrenceSlices:
                     assert oracle.structure(piece) == oracle.structure(reference)
 
 
-class TestMaximizeCapped:
-    """Maximization cut off by ``max_maximize_rounds`` while a variable
-    was still growing is counted in ``gci.maximize_capped``."""
+class TestMaximizeOnePass:
+    """The Galois maximization is one Gauss–Seidel pass, and that pass
+    is already the fixpoint (see ``gci._maximize_solution``)."""
 
-    def _maximize(self, rounds: int):
+    def test_shrunk_variable_grows_back_in_one_call(self):
         problem = Problem(
             [
                 Subset(Var("x"), _const("c1", "a*")),
@@ -378,26 +377,25 @@ class TestMaximizeCapped:
         _, solution = next(
             gci._iter_candidates(prepared, GciLimits(maximize=False), 0, None)
         )
-        # Deliberately shrink x: one round grows it back to a*.
+        # Deliberately shrink x: one call grows it back to a*.
         solution[Node("var", "x")] = machine("a")
-        with obs.collect() as collector:
-            result = gci._maximize_solution(
-                solution,
-                prepared.machines,
-                prepared.constraint_specs,
-                prepared.var_nodes,
-                GciLimits(max_maximize_rounds=rounds),
-            )
-        counters = collector.to_dict()["metrics"]["counters"]
-        return counters.get("gci.maximize_capped", 0), result
-
-    def test_last_round_still_changing_is_counted(self):
-        capped, result = self._maximize(rounds=1)
-        assert capped == 1
-        assert equivalent(result[Node("var", "x")], machine("a*"))
-
-    def test_default_rounds_reach_the_fixpoint(self):
-        capped, result = self._maximize(rounds=GciLimits().max_maximize_rounds)
-        assert capped == 0
+        result = gci._maximize_solution(prepared, solution)
         assert equivalent(result[Node("var", "x")], machine("a*"))
         assert equivalent(result[Node("var", "y")], machine("b*"))
+
+    @pytest.mark.parametrize(
+        "fixture", sorted(p.name for p in DATA.glob("*.dprle"))
+    )
+    def test_idempotent_on_corpus_groups(self, fixture):
+        graph, _ = build_graph(parse_problem((DATA / fixture).read_text()))
+        for group in graph.ci_groups():
+            prepared = gci._prepare_group(graph, group, GciLimits())
+            if prepared is None:
+                continue
+            for _, solution in gci._iter_candidates(
+                prepared, GciLimits(), 0, None
+            ):
+                again = gci._maximize_solution(prepared, solution)
+                assert again.keys() == solution.keys()
+                for node, grown in again.items():
+                    assert equivalent(grown, solution[node]), (fixture, node)

@@ -2,8 +2,9 @@
 
 Each ``tests/data/*.dprle`` file is solved end to end; expectations pin
 satisfiability, solution counts, witness membership, and — for every
-satisfying assignment — the executable Satisfying check of
-:mod:`repro.solver.verify`.
+assignment — the executable Satisfying and Maximal checks of
+:mod:`repro.solver.verify` (paper Sec. 3.3), maximality decided
+exactly.  The Sec. 3.5 chain at k = 2 is checked the same way.
 """
 
 import pathlib
@@ -48,8 +49,9 @@ def test_regression_file(name):
         return
 
     for assignment in solutions.nonempty():
-        report = check_assignment(problem, assignment, check_maximality=False)
+        report = check_assignment(problem, assignment, check_maximality=True)
         assert report.satisfying, (name, report.violations)
+        assert report.maximal is True, (name, report.violations)
 
     # Membership probes hold in at least one disjunct (member) and in
     # no disjunct (non-member strings violate some constraint).
@@ -71,3 +73,17 @@ def test_regression_file(name):
 def test_all_data_files_covered():
     files = {p.name for p in DATA_DIR.glob("*.dprle")}
     assert files == set(EXPECTATIONS)
+
+
+def test_sec35_chain_k2_is_satisfying_and_maximal():
+    """The Sec. 3.5 chain at k = 2 under default limits: its one
+    assignment is satisfying and exactly maximal."""
+    from benchmarks.test_sec35_chain_scaling import chain_problem
+
+    problem = chain_problem(2)
+    solutions = solve(problem)
+    assert solutions.satisfiable
+    (assignment,) = solutions.nonempty()
+    report = check_assignment(problem, assignment)
+    assert report.satisfying, report.violations
+    assert report.maximal is True, report.violations
