@@ -7,7 +7,7 @@ assignments; its own Def. 3.1 admits four (see DESIGN.md §4) and we
 report all of them, asserting the paper's A1/A2 are included.
 """
 
-from repro import stats
+from repro import obs
 from repro.automata import enumerate_strings
 from repro.cache import CacheLimits, LangCache
 from repro.constraints import parse_problem
@@ -76,13 +76,13 @@ def test_fig9_cached_group_solving():
     four assignments — while cutting the states-visited cost."""
     problem = parse_problem(FIG9)
 
-    with stats.measure() as cost:
+    with obs.collect() as cost:
         base = solve(problem)
     base_visited = cost.states_visited
 
     cache = LangCache(CacheLimits())
     with cache.activate():
-        with stats.measure() as cost:
+        with obs.collect() as cost:
             cached = solve(problem)
     cached_visited = cost.states_visited
 

@@ -12,7 +12,6 @@ everywhere.
 from __future__ import annotations
 
 import os
-import pathlib
 import time
 
 from repro import obs, parallel
@@ -21,8 +20,6 @@ from repro.solver import solve
 from repro.solver.gci import GciLimits
 
 from benchmarks._util import WIDE
-
-DATA = pathlib.Path(__file__).parent.parent / "tests" / "data"
 
 FIG9 = """
 var va, vb, vc;
@@ -150,76 +147,4 @@ def test_work_bounding_fig9_first_solution(monkeypatch):
         "parallel_fig9",
         "Figs. 9/10 — work bounded by max_solutions=1",
         {"rows": rows},
-    )
-
-
-def test_planner_first_solution_sweep():
-    """Enumeration-planner sweep (docs/PLANNER.md): plan off vs equiv
-    vs full on the wide fixtures at ``max_solutions=1``, serial so the
-    counters are exact.  The headline acceptance ratio — plan=full must
-    enumerate >= 5x fewer combinations than plan=off before the first
-    solution — is asserted here and counter-gated in CI against
-    ``benchmarks/baseline/stats_wide_planned.json``."""
-    from repro.cache import LangCache
-
-    rows = {}
-    for fixture in ("wide.dprle", "wider.dprle"):
-        problem = parse_problem((DATA / fixture).read_text())
-        for mode in ("off", "equiv", "full"):
-            with LangCache().activate(), obs.collect() as collector:
-                started = time.perf_counter()
-                solutions = solve(
-                    problem,
-                    max_solutions=1,
-                    limits=GciLimits(workers=0, plan=mode),
-                )
-                elapsed = time.perf_counter() - started
-            counters = collector.metrics.snapshot()["counters"]
-            assert len(solutions) == 1, (fixture, mode)
-            rows[f"{fixture.split('.')[0]}:{mode}"] = {
-                "fixture": fixture,
-                "plan": mode,
-                "wall_seconds": round(elapsed, 6),
-                "combinations_total": counters["gci.combinations_total"],
-                "combinations_factored": counters.get(
-                    "gci.combinations_factored", 0
-                ),
-                "combinations_pruned_equiv": counters.get(
-                    "gci.combinations_pruned_equiv", 0
-                ),
-                "combinations_pruned_plan": counters.get(
-                    "gci.combinations_pruned_plan", 0
-                ),
-                "combinations_enumerated": counters[
-                    "gci.combinations_enumerated"
-                ],
-            }
-
-    for fixture in ("wide", "wider"):
-        off = rows[f"{fixture}:off"]["combinations_enumerated"]
-        full = rows[f"{fixture}:full"]["combinations_enumerated"]
-        assert off >= 5 * full, (fixture, off, full)
-
-    from benchmarks._util import write_json, write_table
-
-    lines = []
-    for key in sorted(rows):
-        row = rows[key]
-        lines.append(
-            f"{key}: {row['combinations_enumerated']} of "
-            f"{row['combinations_total']} combination(s) enumerated "
-            f"({row['combinations_pruned_equiv']} pruned by collapse, "
-            f"{row['combinations_pruned_plan']} by viability mask), "
-            f"{row['wall_seconds'] * 1000:.1f} ms"
-        )
-    write_table(
-        "planner",
-        "Enumeration planner — first-solution work, plan off/equiv/full",
-        lines,
-    )
-    write_json(
-        "planner",
-        "Enumeration planner — first-solution work, plan off/equiv/full",
-        {"rows": rows},
-        cache={"enabled": True},
     )

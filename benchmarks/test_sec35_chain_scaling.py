@@ -16,7 +16,7 @@ first-solution extraction.
 
 import pytest
 
-from repro import stats
+from repro import obs
 from repro.constraints.terms import ConcatTerm, Const, Problem, Subset, Var
 from repro.solver import solve
 from repro.solver.gci import GciLimits
@@ -71,9 +71,9 @@ def run_chain(k: int):
         dedupe=False,
         max_combinations=1_000_000,
     )
-    with stats.measure() as first_cost:
+    with obs.collect() as first_cost:
         first = solve(problem, max_solutions=1, limits=limits)
-    with stats.measure() as all_cost:
+    with obs.collect() as all_cost:
         everything = solve(problem, limits=limits)
     return first_cost.states_visited, all_cost.states_visited, len(everything)
 

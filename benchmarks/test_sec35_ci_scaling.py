@@ -9,7 +9,7 @@ the paper claims (in its "NFA states visited" cost model):
 * enumerating *all* solutions costs O(Q³) states visited.
 
 This benchmark sweeps Q over random machines, measures the same
-quantities with :mod:`repro.stats`, and checks the bounds (with
+quantities with :func:`repro.obs.collect`, and checks the bounds (with
 explicit constants — the model counts exactly what the paper counts).
 """
 
@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from repro import stats
+from repro import obs
 from repro.automata import enumerate_strings, ops
 from repro.cache import CacheLimits, LangCache
 from repro.constraints import parse_problem
@@ -34,7 +34,7 @@ def run_ci(q: int):
     c1 = random_nfa(q, seed=q * 3 + 1)
     c2 = random_nfa(q, seed=q * 3 + 2)
     c3 = random_nfa(q, seed=q * 3 + 3)
-    with stats.measure() as cost:
+    with obs.collect() as cost:
         solutions = concat_intersect(c1, c2, c3)
     m4 = ops.concat(c1, c2)
     m5, _ = ops.product(m4, c3)
@@ -140,7 +140,7 @@ def test_ci_cache_ablation():
         problem = _chain_problem(n)
 
         started = time.perf_counter()
-        with stats.measure() as cost:
+        with obs.collect() as cost:
             base = solve(problem)
         base_seconds = time.perf_counter() - started
         base_visited = cost.states_visited
@@ -148,7 +148,7 @@ def test_ci_cache_ablation():
         cache = LangCache(CacheLimits())
         started = time.perf_counter()
         with cache.activate():
-            with stats.measure() as cost:
+            with obs.collect() as cost:
                 cached = solve(problem)
         cached_seconds = time.perf_counter() - started
         cached_visited = cost.states_visited

@@ -30,6 +30,7 @@ from .solver import (
     GciLimits,
     RegLangSolver,
     SolutionSet,
+    SolveLimitExceeded,
     concat_intersect,
     solve,
 )
@@ -43,6 +44,7 @@ __all__ = [
     "Assignment",
     "SolutionSet",
     "GciLimits",
+    "SolveLimitExceeded",
     "Var",
     "Const",
     "Subset",

@@ -228,7 +228,6 @@ class LangCache:
         self.misses: dict[str, int] = {}
         self.evictions = 0
         self.signature_collisions = 0
-        self._class_ids: dict[str, int] = {}
 
     # -- activation ----------------------------------------------------
 
@@ -385,25 +384,6 @@ class LangCache:
                 "cache.signature_collisions", self.signature_collisions
             )
         return sig, True
-
-    def class_id(self, nfa: "Nfa") -> int:
-        """A dense id for the machine's signature class.
-
-        Machines with equal languages share an id; distinct languages
-        get distinct ids, interned in first-seen order.  This is the
-        signature-class index the enumeration planner
-        (:mod:`repro.solver.plan`) keys its interchangeability profiles
-        by — a compact stand-in for the signature digest itself.  The
-        index is append-only (never evicted with the LRU table): ids
-        must stay stable for the lifetime of the cache.
-        """
-        sig = self.signature(nfa)
-        cid = self._class_ids.get(sig)
-        if cid is None:
-            cid = len(self._class_ids)
-            self._class_ids[sig] = cid
-            obs.set_gauge("cache.signature_classes", len(self._class_ids))
-        return cid
 
     def _sig_if_known(self, nfa: "Nfa") -> Optional[str]:
         """The signature if one is already on record (per object or per

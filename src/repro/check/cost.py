@@ -15,11 +15,14 @@ Estimation model (all quantities are upper bounds):
   the constant's (a product machine has at most ``|A| × |B|`` states,
   starts, and finals).
 * A constant leaf contributes its own counts, again multiplied by any
-  inbound constraints.
+  inbound constraints.  Every constant counts as the solver uses it,
+  ε-eliminated (:func:`_constant_size`): elimination drops states but
+  can add finals, so raw counts are no ceiling.
 * Concatenating ``L`` and ``R`` creates ``|finals(L)| × |starts(R)|``
   bridge ε-edges; every later product against a constant — on the
   temporary itself or on any enclosing temporary — multiplies each
-  surviving image by at most that constant's state count.
+  surviving image by at most that constant's (ε-eliminated) state
+  count.
 
 The predicted group total is the product of the per-tag bridge
 estimates, exactly mirroring ``_prepare_group``'s
@@ -79,12 +82,7 @@ def estimate_group(graph: DepGraph, group: set[Node]) -> GroupEstimate:
     # dprle-lint: disable=L030 -- fills a keyed dict of exact int estimates; consumption order is canonicalized by group_temps_in_order
     for leaf in (n for n in group if not n.is_temp):
         if leaf.is_const:
-            machine = graph.machine(leaf)
-            estimate = _SizeEstimate(
-                states=max(1, machine.num_states),
-                starts=max(1, len(machine.starts)),
-                finals=max(1, len(machine.finals)),
-            )
+            estimate = _constant_size(graph.machine(leaf))
         else:
             estimate = _SizeEstimate(states=1, starts=1, finals=1)
         for const_node in graph.inbound_subsets(leaf):
@@ -122,7 +120,7 @@ def estimate_group(graph: DepGraph, group: set[Node]) -> GroupEstimate:
     def own_multiplier(temp: Node) -> int:
         factor = 1
         for const_node in graph.inbound_subsets(temp):
-            factor *= max(1, graph.machine(const_node).num_states)
+            factor *= _constant_size(graph.machine(const_node)).states
         return factor
 
     def multiplier(temp: Node) -> int:
@@ -155,12 +153,36 @@ def estimate_groups(graph: DepGraph) -> list[GroupEstimate]:
     return [estimate_group(graph, group) for group in graph.ci_groups()]
 
 
-def _multiply(estimate: _SizeEstimate, constant: Nfa) -> _SizeEstimate:
-    states = max(1, constant.num_states)
-    starts = max(1, len(constant.starts))
-    finals = max(1, len(constant.finals))
+def _constant_size(constant: Nfa) -> _SizeEstimate:
+    """Bounds on ``ops.eliminate_epsilon(constant)``, the machine the
+    solver builds products with.  Only starts and targets of character
+    edges stay reachable once the ε-edges are gone; each of them is
+    final when its ε-closure reaches a final."""
+    predecessors: dict[int, list[int]] = {}
+    kept = set(constant.starts)
+    for src, edge in constant.edges():
+        if edge.is_epsilon:
+            predecessors.setdefault(edge.dst, []).append(src)
+        else:
+            kept.add(edge.dst)
+    closes = set(constant.finals)
+    stack = sorted(closes)
+    while stack:
+        for src in predecessors.get(stack.pop(), ()):
+            if src not in closes:
+                closes.add(src)
+                stack.append(src)
     return _SizeEstimate(
-        states=estimate.states * states,
-        starts=estimate.starts * starts,
-        finals=estimate.finals * finals,
+        states=max(1, len(kept)),
+        starts=max(1, len(constant.starts)),
+        finals=max(1, len(kept & closes)),
+    )
+
+
+def _multiply(estimate: _SizeEstimate, constant: Nfa) -> _SizeEstimate:
+    size = _constant_size(constant)
+    return _SizeEstimate(
+        states=estimate.states * size.states,
+        starts=estimate.starts * size.starts,
+        finals=estimate.finals * size.finals,
     )

@@ -16,8 +16,10 @@ Code ranges:
 * ``D02x`` — results of the sound abstract domains
   (:mod:`repro.check.domains`): nodes proved empty, instances proved
   unsatisfiable without any subset construction.
-* ``D1xx`` — cost predictions (:mod:`repro.check.cost`): the
-  bridge-combination space of a CI-group is predicted to explode.
+* ``D1xx`` — combination-space cost: ``D100`` predicts an explosion
+  (:mod:`repro.check.cost`); ``D101`` is the solver's typed refusal
+  when the space exceeds ``GciLimits.max_combinations``
+  (:class:`repro.solver.gci.SolveLimitExceeded`).
 """
 
 from __future__ import annotations
@@ -73,6 +75,7 @@ CODES: dict[str, tuple[Severity, str]] = {
     "D020": (Severity.WARNING, "variable proved empty"),
     "D021": (Severity.WARNING, "instance proved unsatisfiable"),
     "D100": (Severity.WARNING, "combination-space explosion predicted"),
+    "D101": (Severity.ERROR, "combination limit exceeded"),
 }
 
 

@@ -39,13 +39,15 @@ class CheckLimits:
     """Knobs bounding the checker's own work.
 
     ``explosion_threshold`` is the predicted ``gci.combinations_total``
-    above which a D100 warning fires.  ``max_inclusion_states`` caps
+    above which a D100 warning fires.  It sits between the ceilings of
+    the two calibration files: ``wide.dprle`` (2,025) stays quiet and
+    ``warn_wide.dprle`` (3,249) warns.  ``max_inclusion_states`` caps
     the constant-machine size for which the (exact) pairwise
     subsumed-constraint scan runs; bigger constants skip the scan so
     the checker stays product-free in spirit and linear in practice.
     """
 
-    explosion_threshold: int = 2000
+    explosion_threshold: int = 2500
     max_inclusion_states: int = 256
 
 

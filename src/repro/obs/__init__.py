@@ -29,8 +29,7 @@ counts and duration histograms (``span.<name>``,
 ends in ``states`` / ``states_in`` / ``states_out``.
 
 **Collection** — :func:`collect` activates a :class:`Collector` for a
-``with`` block, contextvar-scoped exactly like the legacy
-:func:`repro.stats.measure` (thread- and async-safe; concurrent
+``with`` block, contextvar-scoped (thread- and async-safe; concurrent
 contexts never share a collector).  The collector exports
 :meth:`~Collector.to_dict` / :meth:`~Collector.to_json` (see
 ``docs/OBSERVABILITY.md`` for the schema) and a human-readable
@@ -40,10 +39,10 @@ When nothing is active every hook degenerates to one contextvar read —
 a measured near-no-op (see ``tests/obs/test_overhead.py``), so the
 instrumentation can live permanently in the hot paths.
 
-The legacy :mod:`repro.stats` module is a thin compatibility shim over
-the sink mechanism here: ``measure()`` trackers and ``collect()``
-collectors stack freely, and every active sink sees every event, so
-nested scopes propagate counts to all ancestors.
+Collectors stack freely: every active sink sees every event, so nested
+``collect()`` scopes propagate counts to all ancestors.  The structured
+journal (:mod:`repro.obs.journal`) is the other sink kind; it shares the
+collector's span and metrics interface.
 """
 
 from __future__ import annotations
@@ -388,8 +387,6 @@ class Collector:
     never mistakes a capped trace for a complete one.
     """
 
-    handles_spans = True
-
     def __init__(self, max_recorded_spans: int = 10_000):
         self.root = Span("trace")
         self.metrics = MetricsRegistry()
@@ -400,7 +397,7 @@ class Collector:
         self._visited_counter = self.metrics.counter("states_visited")
         self._dropped_counter = self.metrics.counter("obs.spans_dropped")
 
-    # -- event sinks (shared interface with stats.CostTracker) --------
+    # -- event sinks ---------------------------------------------------
 
     def visit(self, count: int) -> None:
         self._stack[-1].states_visited += count
@@ -503,6 +500,15 @@ class Collector:
         return self._visited_counter.value
 
     @property
+    def operations(self) -> dict[str, int]:
+        """Operation counts (the ``op.<name>`` counters) by name."""
+        return {
+            name[3:]: counter.value
+            for name, counter in self.metrics._counters.items()
+            if name.startswith("op.")
+        }
+
+    @property
     def spans_dropped(self) -> int:
         """Spans the ``max_recorded_spans`` cap kept out of the tree."""
         return self._dropped_counter.value
@@ -531,10 +537,9 @@ class Collector:
 
 # -- the contextvar sink registry ------------------------------------------
 
-# All active sinks, outermost first.  A sink is anything with
-# visit()/record(); sinks with handles_spans=True (collectors) also see
-# span open/close.  Every event goes to *every* sink, which is what
-# makes nested measure()/collect() scopes propagate to their ancestors.
+# All active sinks (collectors and journals), outermost first.  Every
+# event goes to *every* sink, which is what makes nested collect()
+# scopes propagate to their ancestors.
 _sinks: ContextVar[Optional[tuple]] = ContextVar("dprle_obs_sinks", default=None)
 
 
@@ -567,33 +572,16 @@ def collect(max_recorded_spans: int = 10_000) -> Iterator[Collector]:
 
 
 def absorb(snapshot: dict[str, Any], label: str = "worker") -> None:
-    """Fold a child collector's exported snapshot into every active sink.
-
-    Collectors merge metrics and graft the child trace
-    (:meth:`Collector.absorb`); legacy :class:`repro.stats.CostTracker`
-    sinks receive the child's ``states_visited`` total and operation
-    counts, so ``measure()`` blocks stay accurate when part of the work
-    ran in worker processes.  A no-op when nothing is active.
+    """Fold a child collector's exported snapshot into every active
+    collector: metrics merge and the child trace is grafted
+    (:meth:`Collector.absorb`).  Journals stream their own events and
+    take no snapshot.  A no-op when nothing is active.
     """
     active = _sinks.get()
-    if active is None:
-        return
-    counters = (snapshot.get("metrics") or {}).get("counters") or {}
-    states = counters.get("states_visited", 0)
-    operations = {
-        name[3:]: value
-        for name, value in counters.items()
-        if name.startswith("op.") and value
-    }
-    for sink in active:
-        if getattr(sink, "handles_spans", False):
-            sink.absorb(snapshot, label)
-        else:
-            if states:
-                sink.visit(states)
-            fold = getattr(sink, "absorb_operations", None)
-            if fold is not None:
-                fold(operations)
+    if active is not None:
+        for sink in active:
+            if isinstance(sink, Collector):
+                sink.absorb(snapshot, label)
 
 
 def current_collector() -> Optional[Collector]:
@@ -602,7 +590,7 @@ def current_collector() -> Optional[Collector]:
     if active is None:
         return None
     for sink in reversed(active):
-        if getattr(sink, "handles_spans", False):
+        if isinstance(sink, Collector):
             return sink
     return None
 
@@ -641,9 +629,8 @@ def increment_metric(name: str, amount: int = 1) -> None:
     active = _sinks.get()
     if active is not None:
         for sink in active:
-            if getattr(sink, "handles_spans", False):
-                # dprle-lint: disable=L021 -- registry plumbing: name was schema-checked at the emission call site
-                sink.metrics.counter(name).inc(amount)
+            # dprle-lint: disable=L021 -- registry plumbing: name was schema-checked at the emission call site
+            sink.metrics.counter(name).inc(amount)
 
 
 def set_gauge(name: str, value: float) -> None:
@@ -668,11 +655,10 @@ def observe_value(name: str, value: float,
     active = _sinks.get()
     if active is not None:
         for sink in active:
-            if getattr(sink, "handles_spans", False):
-                # dprle-lint: disable=L021 -- registry plumbing: name was schema-checked at the emission call site
-                sink.metrics.histogram(
-                    name, boundaries or DURATION_BUCKETS
-                ).observe(value)
+            # dprle-lint: disable=L021 -- registry plumbing: name was schema-checked at the emission call site
+            sink.metrics.histogram(
+                name, boundaries or DURATION_BUCKETS
+            ).observe(value)
 
 
 def progress(stage: str, done: float, total: float) -> None:
@@ -728,10 +714,7 @@ class _SpanContext:
         pairs = [
             (sink, sink.open_span(self._name, self._attrs))
             for sink in active
-            if sink.handles_spans
         ]
-        if not pairs:
-            return _NOOP_HANDLE
         self._pairs = pairs
         self._started = time.perf_counter()
         self._cpu_started = time.thread_time()

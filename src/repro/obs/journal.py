@@ -3,8 +3,8 @@
 The in-memory :class:`~repro.obs.Collector` answers "where did the time
 go" *after* a run; the journal answers it *during* one, and leaves a
 replayable record behind.  It is a span sink like the collector —
-registered in the same contextvar stack, so collectors, legacy
-trackers, and journals compose freely — but instead of building a tree
+registered in the same contextvar stack, so collectors and journals
+compose freely — but instead of building a tree
 it appends one JSON object per line to a stream as events happen:
 
 ``journal_start``
@@ -71,8 +71,6 @@ class Journal:
     Register with :func:`journal_to` (context manager) rather than
     instantiating directly, unless you are composing sinks by hand.
     """
-
-    handles_spans = True
 
     def __init__(
         self,
@@ -265,7 +263,7 @@ def journal_to(
 
     ``target`` may be a path (opened for writing, closed on exit) or an
     already-open text stream (left open).  The journal stacks with any
-    active collectors/trackers; every sink sees every event.
+    active collectors; every sink sees every event.
     """
     stream: IO[str]
     owned = isinstance(target, (str, Path))

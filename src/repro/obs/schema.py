@@ -107,7 +107,6 @@ SPANS: frozenset[str] = frozenset({
     "basic_constraints",
     "worklist_iteration",
     "ci",
-    "gci_plan",
     "gci_factor",
     "gci_combination",
     "gci_maximize",
@@ -154,13 +153,10 @@ COUNTERS: frozenset[str] = frozenset(
         "gci.combinations_factored",
         "gci.combinations_enumerated",
         "gci.combinations_skipped",
-        "gci.combinations_pruned_equiv",
-        "gci.combinations_pruned_plan",
         "gci.pair_memo_hits",
         "gci.pair_memo_misses",
         "gci.slice_memo_hits",
         "gci.slice_memo_misses",
-        "parallel.chunks_pruned",
         "cache.store.hits",
         "cache.store.misses",
         "cache.store.writes",
@@ -180,7 +176,6 @@ COUNTERS: frozenset[str] = frozenset(
 GAUGES: frozenset[str] = frozenset(
     {
         "cache.entries",
-        "cache.signature_classes",
         "cache.signature_collisions",
         "check.cost_ceiling",
         "parallel.chunk_skew",

@@ -177,23 +177,6 @@ def encode_group(prepared, limits) -> dict[str, Any]:
         "leaves": [_enc_node(n) for n in prepared.leaves],
         "total_combinations": prepared.total_combinations,
         "factored_combinations": prepared.factored_combinations,
-        # The planner's verdict travels with the group: workers iterate
-        # the same survivor mask (hex-encoded — it is one big int) so a
-        # chunk walks exactly the combinations the parent accounted for.
-        "plan": None
-        if prepared.plan is None
-        else {
-            "mode": prepared.plan.mode,
-            "space": prepared.plan.space,
-            "pruned_equiv": prepared.plan.pruned_equiv,
-            "pruned_plan": prepared.plan.pruned_plan,
-            "survivors": prepared.plan.survivors,
-            "mask": (
-                format(prepared.plan.mask, "x")
-                if prepared.plan.mask is not None
-                else None
-            ),
-        },
         "limits": {"maximize": limits.maximize},
         "collect": bool(obs.active_sinks()),
     }
@@ -253,23 +236,6 @@ def _decode_payload(payload: dict[str, Any]) -> _WorkerState:
         tags.setdefault(label, BridgeTag(label)): [tuple(e) for e in edges]
         for label, edges in payload["edges_by_tag"]
     }
-    plan_doc = payload.get("plan")
-    plan = None
-    if plan_doc is not None:
-        from .solver.plan import EnumerationPlan
-
-        plan = EnumerationPlan(
-            mode=plan_doc["mode"],
-            space=plan_doc["space"],
-            pruned_equiv=plan_doc["pruned_equiv"],
-            pruned_plan=plan_doc["pruned_plan"],
-            survivors=plan_doc["survivors"],
-            mask=(
-                int(plan_doc["mask"], 16)
-                if plan_doc["mask"] is not None
-                else None
-            ),
-        )
     prepared = gci._PreparedGroup(
         machines=machines,
         occurrences=occurrences,
@@ -283,7 +249,6 @@ def _decode_payload(payload: dict[str, Any]) -> _WorkerState:
         leaves={Node(*n) for n in payload["leaves"]},
         total_combinations=payload["total_combinations"],
         factored_combinations=payload["factored_combinations"],
-        plan=plan,
     )
     limits = gci.GciLimits(
         maximize=payload["limits"]["maximize"],
@@ -372,117 +337,6 @@ def _chunk_ranges(total: int, workers: int) -> list[tuple[int, int]]:
     return [(s, min(s + size, total)) for s in range(0, total, size)]
 
 
-class _ChunkSchedule:
-    """Submission state for one group's chunk fan-out.
-
-    ``order`` is the submission priority — best-first by exact
-    predicted yield (survivor popcount) for planned groups, canonical
-    otherwise; ``window`` bounds how many chunks may be submitted ahead
-    of the drain cursor (``None`` submits everything up front, today's
-    eager behaviour).  Each future is paired with its submit timestamp
-    so the drain can measure queue wait (submit → worker pickup, both
-    on the fork-shared perf_counter clock).
-
-    The drain consumes chunks in canonical order regardless of
-    scheduling, so the output stream is deterministic; the schedule
-    only decides *which work happens* when the consumer stops early.
-    """
-
-    def __init__(
-        self,
-        pool: ProcessPoolExecutor,
-        payload: dict[str, Any],
-        ranges: list[tuple[int, int]],
-        order: Optional[list[int]] = None,
-        window: Optional[int] = None,
-    ):
-        self.ranges = ranges
-        self._pool = pool
-        self._payload = payload
-        self._order = order if order is not None else list(range(len(ranges)))
-        self._window = window
-        self._tasks: list[Optional[tuple[Future, float]]] = [None] * len(ranges)
-        self._cursor = 0
-        self._submitted = 0
-        self._top_up(len(ranges) if window is None else window)
-
-    def _submit(self, chunk: int) -> None:
-        if self._tasks[chunk] is None:
-            start, stop = self.ranges[chunk]
-            self._tasks[chunk] = (
-                self._pool.submit(_run_chunk, self._payload, start, stop),
-                # dprle-lint: disable=L040 -- queue-entry timestamp; feeds parallel.queue_wait_seconds
-                time.perf_counter(),
-            )
-            self._submitted += 1
-
-    def _top_up(self, target: int) -> None:
-        while self._submitted < target and self._cursor < len(self._order):
-            chunk = self._order[self._cursor]
-            self._cursor += 1
-            self._submit(chunk)
-
-    def task(self, chunk: int, consumed: int) -> tuple[Future, float]:
-        """The chunk's (future, submit time); submits it now if the
-        window had not reached it, and tops the window back up."""
-        self._submit(chunk)
-        if self._window is not None:
-            self._top_up(consumed + self._window)
-        entry = self._tasks[chunk]
-        assert entry is not None
-        return entry
-
-    def submitted(self, chunk: int) -> Optional[tuple[Future, float]]:
-        return self._tasks[chunk]
-
-
-def _schedule_chunks(
-    pool: ProcessPoolExecutor,
-    payload: dict[str, Any],
-    prepared,
-    limits,
-    workers: int,
-) -> _ChunkSchedule:
-    """Chunk the group's index space and pick the submission policy.
-
-    Unplanned groups keep the historical behaviour: every chunk
-    submitted eagerly, in canonical order.  A planned group with a
-    viability mask drops zero-survivor chunks entirely, submits
-    best-first by exact survivor count, and — when ``max_solutions``
-    caps the solve — throttles the in-flight window to the canonical
-    chunk prefix whose cumulative predicted yield covers the cap, never
-    fewer than the worker count.
-    """
-    ranges = _chunk_ranges(prepared.index_space, workers)
-    plan = prepared.plan
-    order: Optional[list[int]] = None
-    window: Optional[int] = None
-    if (
-        plan is not None
-        and plan.mask is not None
-        and plan.mode in ("beam", "full")
-    ):
-        yields = [plan.count_survivors(s, e) for s, e in ranges]
-        keep = [i for i, y in enumerate(yields) if y > 0]
-        if len(keep) != len(ranges):
-            obs.increment_metric(
-                "parallel.chunks_pruned", len(ranges) - len(keep)
-            )
-        ranges = [ranges[i] for i in keep]
-        yields = [yields[i] for i in keep]
-        order = sorted(range(len(ranges)), key=lambda i: (-yields[i], i))
-        cap = limits.max_solutions
-        if cap is not None and ranges:
-            window, cumulative = 0, 0
-            for chunk_yield in yields:
-                window += 1
-                cumulative += chunk_yield
-                if cumulative >= cap:
-                    break
-            window = max(window, workers)
-    return _ChunkSchedule(pool, payload, ranges, order=order, window=window)
-
-
 def parallel_candidates(
     prepared, limits, workers: int
 ) -> Iterator[tuple[int, Any, dict[Node, Nfa]]]:
@@ -491,30 +345,38 @@ def parallel_candidates(
     solution)`` stream, same canonical order, work fanned out across
     the pool.
 
-    Chunk submission follows the group's :class:`_ChunkSchedule` (eager
-    canonical for unplanned groups, best-first/beam for planned ones);
-    the generator drains chunks in canonical order.  Closing the
-    generator early — the selector's streaming cap or safe-frontier
-    exit — cancels every submitted-but-unstarted chunk and never
-    submits the rest, which is what makes ``max_solutions`` bound
-    *work* across the pool, not just output.
+    Every chunk is submitted eagerly, in canonical order, and drained in
+    the same order.  Each future is paired with its submit timestamp so
+    the drain can measure queue wait (submit → worker pickup, both on
+    the fork-shared perf_counter clock).  Closing the generator early —
+    the selector's streaming cap or safe-frontier exit — cancels every
+    chunk that has not started, which is what makes ``max_solutions``
+    bound *work* across the pool, not just output.
     """
     payload = encode_group(prepared, limits)
     pool = _get_pool(workers)
-    schedule = _schedule_chunks(pool, payload, prepared, limits, workers)
-    return _drain(prepared, schedule)
+    ranges = _chunk_ranges(prepared.factored_combinations, workers)
+    tasks = [
+        (
+            pool.submit(_run_chunk, payload, start, stop),
+            # dprle-lint: disable=L040 -- queue-entry timestamp; feeds parallel.queue_wait_seconds
+            time.perf_counter(),
+        )
+        for start, stop in ranges
+    ]
+    return _drain(prepared, ranges, tasks)
 
 
 def _drain(
     prepared,
-    schedule: _ChunkSchedule,
+    ranges: list[tuple[int, int]],
+    tasks: list[tuple[Future, float]],
 ) -> Iterator[tuple[int, Any, dict[Node, Nfa]]]:
     # Decoded solutions re-use the parent's tag objects and alphabet;
     # tag identity inside a solution machine is cosmetic (the consumer
     # only compares languages), but sharing keeps reprs coherent.
     tags = {tag.label: tag for tag in prepared.tag_order}
     alphabet = next(iter(prepared.machines.values())).alphabet
-    ranges = schedule.ranges
     # dprle-lint: disable=L040 -- drain wall-clock; feeds the parallel.utilization obs gauge
     drain_started = time.perf_counter()
     busy_by_pid: dict[int, float] = {}
@@ -522,11 +384,10 @@ def _drain(
     walked = 0
     consumed = 0
     try:
-        for chunk, (start, stop) in enumerate(ranges):
-            future, submitted = schedule.task(chunk, consumed)
+        for (start, stop), (future, submitted) in zip(ranges, tasks):
             consumed += 1
             results, snapshot = future.result()
-            walked += prepared.survivors_in(start, stop)
+            walked += stop - start
             if snapshot is not None:
                 # Pop the transport record before absorbing so the
                 # parent's merged metrics stay free of raw clock values.
@@ -547,7 +408,7 @@ def _drain(
                 chunk_seconds.append(busy)
                 obs.absorb(snapshot)
                 obs.progress(
-                    "gci_enumeration", walked, prepared.enumeration_space
+                    "gci_enumeration", walked, prepared.factored_combinations
                 )
             for index, key, docs in results:
                 solution = {
@@ -556,18 +417,16 @@ def _drain(
                 }
                 yield index, key, solution
     finally:
-        for chunk in range(consumed, len(ranges)):
-            entry = schedule.submitted(chunk)
-            if entry is None:
-                continue  # never submitted: pure skip, nothing ran
-            future, _submitted = entry
+        for (start, stop), (future, _submitted) in zip(
+            ranges[consumed:], tasks[consumed:]
+        ):
             if not future.cancel():
                 # Already running (or done): that work happened; count
                 # the whole chunk.  Its telemetry snapshot is lost —
                 # the cost of not blocking on a cancelled enumeration.
-                walked += prepared.survivors_in(*ranges[chunk])
+                walked += stop - start
         obs.increment_metric("gci.combinations_enumerated", walked)
-        skipped = prepared.enumeration_space - walked
+        skipped = prepared.factored_combinations - walked
         if skipped > 0:
             obs.increment_metric("gci.combinations_skipped", skipped)
         if chunk_seconds:

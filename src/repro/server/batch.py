@@ -8,10 +8,10 @@ one worker thread, under the shared language cache.  Batching is what
 lets a burst of requests over the same corpus amortize signature work
 within one cache activation instead of interleaving arbitrarily.
 
-The compatibility key is ``(kind, workers, plan)``: jobs in a batch
-must agree on the endpoint and on every knob that changes how the
-solver pool is driven (``repro.parallel`` fan-out, planner mode), so
-one batch is homogeneous work.  Incompatible jobs are left queued,
+The compatibility key is ``(kind, workers)``: jobs in a batch must
+agree on the endpoint and on the ``repro.parallel`` fan-out, the one
+knob that changes how the solver pool is driven, so one batch is
+homogeneous work.  Incompatible jobs are left queued,
 preserving arrival order within each key.
 
 Deadlines are *absolute* event-loop timestamps (``loop.time()``-based,
@@ -30,9 +30,9 @@ from typing import Any, Optional
 
 __all__ = ["CompatKey", "DeadlineExceeded", "Job", "Batcher"]
 
-#: The batching compatibility key: (kind, workers, plan), stringified
-#: so heterogeneous payload values compare stably.
-CompatKey = tuple[str, str, str]
+#: The batching compatibility key: (kind, workers), stringified so
+#: heterogeneous payload values compare stably.
+CompatKey = tuple[str, str]
 
 
 class DeadlineExceeded(Exception):

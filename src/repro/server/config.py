@@ -34,8 +34,6 @@ class ServerConfig:
     #: Default worker fan-out for solves (``repro.parallel``): None
     #: defers to ``DPRLE_WORKERS``, 0 forces serial.
     workers: Optional[int] = None
-    #: Default enumeration planner mode for solves.
-    plan: str = "off"
     #: Max entries in the shared in-memory language cache.
     cache_entries: int = 4096
     #: How long the batcher waits after the first queued job for

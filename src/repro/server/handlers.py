@@ -21,7 +21,7 @@ from typing import Any, Optional
 from ..analysis.analyzer import analyze_source
 from ..analysis.attacks import ALL_ATTACKS, CONTAINS_QUOTE
 from ..constraints.dsl import DslError, parse_problem
-from ..solver.gci import GciLimits
+from ..solver.gci import GciLimits, SolveLimitExceeded
 from ..solver.worklist import solve as solve_problem
 from .batch import CompatKey
 from .config import ServerConfig
@@ -93,47 +93,46 @@ def _query_field(payload: dict[str, Any]) -> Optional[list[str]]:
     return list(value)
 
 
-def _effective_knobs(
+def _effective_workers(
     payload: dict[str, Any], config: ServerConfig
-) -> tuple[Optional[int], str]:
-    """(workers, plan) after per-request overrides."""
+) -> Optional[int]:
+    """The worker fan-out after the per-request override."""
     workers = _opt_int_field(payload, "workers")
-    if workers is None:
-        workers = config.workers
-    plan = _opt_str_field(payload, "plan")
-    if plan is None:
-        plan = config.plan
-    return workers, plan
+    return config.workers if workers is None else workers
 
 
 def compat_key(
     kind: str, payload: dict[str, Any], config: ServerConfig
 ) -> CompatKey:
     """The batching key: jobs agreeing on it may share a batch."""
-    workers, plan = _effective_knobs(payload, config)
-    return (kind, str(workers), plan)
+    return (kind, str(_effective_workers(payload, config)))
 
 
 def _limits(
     payload: dict[str, Any], config: ServerConfig
 ) -> Optional[GciLimits]:
-    workers, plan = _effective_knobs(payload, config)
-    if workers is None and plan == "off":
+    workers = _effective_workers(payload, config)
+    if workers is None:
         return None
-    return GciLimits(workers=workers, plan=plan)
+    return GciLimits(workers=workers)
 
 
 def run_job(
     kind: str, payload: dict[str, Any], config: ServerConfig
 ) -> dict[str, Any]:
     """Execute one batched job; the daemon wraps this in the
-    ``server_request`` span and the shared cache activation."""
-    if kind == "solve":
-        return _run_solve(payload, config)
-    if kind == "check":
-        return _run_check(payload)
-    if kind == "analyze":
-        return _run_analyze(payload, config)
+    ``server_request`` span and the shared cache activation.  A solve
+    over a :class:`GciLimits` bound is the request's problem, not a
+    server fault: 422 with the limit's D-code."""
+    try:
+        if kind == "solve":
+            return _run_solve(payload, config)
+        if kind == "check":
+            return _run_check(payload)
+        if kind == "analyze":
+            return _run_analyze(payload, config)
+    except SolveLimitExceeded as error:
+        raise RequestError(422, str(error), code=error.code) from error
     raise RequestError(404, f"unknown endpoint kind {kind!r}")
 
 

@@ -27,6 +27,7 @@ _REASONS: dict[int, str] = {
     404: "Not Found",
     405: "Method Not Allowed",
     413: "Payload Too Large",
+    422: "Unprocessable Entity",
     500: "Internal Server Error",
     503: "Service Unavailable",
     504: "Gateway Timeout",

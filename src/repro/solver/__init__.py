@@ -3,7 +3,7 @@
 from .api import RegLangSolver
 from .assignments import Assignment, SolutionSet
 from .ci import CiSolution, concat_intersect
-from .gci import GciLimits, group_solutions, solve_group
+from .gci import GciLimits, SolveLimitExceeded, group_solutions, solve_group
 from .verify import (
     AssignmentReport,
     CiReport,
@@ -20,6 +20,7 @@ __all__ = [
     "CiSolution",
     "concat_intersect",
     "GciLimits",
+    "SolveLimitExceeded",
     "solve_group",
     "group_solutions",
     "solve",

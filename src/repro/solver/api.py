@@ -45,7 +45,6 @@ class RegLangSolver:
         cache: Optional[CacheLimits] = None,
         workers: Optional[int] = None,
         precheck: bool = False,
-        plan: Optional[str] = None,
     ):
         self.alphabet = alphabet
         # Default fan-out for solves (see repro.parallel): None defers
@@ -54,9 +53,6 @@ class RegLangSolver:
         # Opt-in sound pruning via the repro.check abstract domains
         # (solution-preserving; see docs/DIAGNOSTICS.md).
         self.precheck = precheck
-        # Enumeration planner mode (see repro.solver.plan): one of
-        # "off"/"equiv"/"beam"/"full"; None defers to GciLimits.
-        self.plan = plan
         self._constraints: list[Subset] = []
         self._vars: dict[str, Var] = {}
         self._consts: dict[str, Const] = {}
@@ -181,8 +177,6 @@ class RegLangSolver:
             limits = replace(limits or GciLimits(), workers=self.workers)
         if self.precheck and (limits is None or not limits.precheck):
             limits = replace(limits or GciLimits(), precheck=True)
-        if self.plan is not None and (limits is None or limits.plan == "off"):
-            limits = replace(limits or GciLimits(), plan=self.plan)
         with self.cache.activate(), ExitStack() as stack:
             if journal is not None:
                 stack.enter_context(obs.journal_to(journal))

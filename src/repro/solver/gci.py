@@ -68,7 +68,18 @@ from ..automata.nfa import BridgeTag, Nfa
 from ..cache import CacheLimits, active_cache
 from ..constraints.depgraph import DepGraph, Node
 
-__all__ = ["GciLimits", "solve_group", "group_solutions"]
+__all__ = ["GciLimits", "SolveLimitExceeded", "solve_group", "group_solutions"]
+
+
+class SolveLimitExceeded(RuntimeError):
+    """A solve needs more work than a :class:`GciLimits` bound allows.
+
+    ``code`` is the stable diagnostic code the front ends report
+    (``D101``, see ``docs/DIAGNOSTICS.md``): the CLI exits 2 and the
+    daemon answers 422.
+    """
+
+    code = "D101"
 
 
 @dataclass
@@ -113,15 +124,6 @@ class GciLimits:
     is solution-preserving (see ``docs/DIAGNOSTICS.md``); counters
     ``check.pruned_nodes`` / ``check.proved_unsat`` record its effect.
 
-    ``plan`` selects the enumeration planner (:mod:`repro.solver.plan`):
-    ``"off"`` (default) walks the factored space as-is; ``"equiv"``
-    collapses signature-interchangeable bridge edges before stage 5;
-    ``"beam"`` builds the viability bitmask and schedules parallel
-    chunks best-first by exact predicted yield; ``"full"`` does both.
-    Every mode preserves the output stream exactly (same solutions,
-    same order) — the planner only removes work that is provably
-    redundant.
-
     ``maximize`` closes every viable candidate under the Galois
     maximization (:func:`_maximize_solution`): one pass over the
     variables, which is already the fixpoint, so there is no round
@@ -137,7 +139,6 @@ class GciLimits:
     cache: Optional[CacheLimits] = None
     workers: Optional[int] = None
     precheck: bool = False
-    plan: str = "off"
 
 
 @dataclass
@@ -195,8 +196,7 @@ def _emit_group_counters(prepared: "_PreparedGroup") -> None:
     """The per-group combination accounting.  The producer adds
     enumerated/skipped; the identity the telemetry tests rely on::
 
-        total = factored + pruned_equiv + pruned_plan
-                + enumerated + skipped
+        total = factored + enumerated + skipped
     """
     obs.increment_metric(
         "gci.combinations_total", prepared.total_combinations
@@ -204,15 +204,6 @@ def _emit_group_counters(prepared: "_PreparedGroup") -> None:
     factored_out = prepared.total_combinations - prepared.factored_combinations
     if factored_out:
         obs.increment_metric("gci.combinations_factored", factored_out)
-    if prepared.plan is not None:
-        if prepared.plan.pruned_equiv:
-            obs.increment_metric(
-                "gci.combinations_pruned_equiv", prepared.plan.pruned_equiv
-            )
-        if prepared.plan.pruned_plan:
-            obs.increment_metric(
-                "gci.combinations_pruned_plan", prepared.plan.pruned_plan
-            )
 
 
 @dataclass
@@ -239,14 +230,6 @@ class _PreparedGroup:
     maximization's ``post``/``pre`` passes over constant leaves and its
     ``run`` results, keyed by spec index (see :func:`_admissible`).
     Both live and die with the group.
-
-    ``plan`` is the enumeration planner's verdict
-    (:class:`repro.solver.plan.EnumerationPlan`, ``None`` when
-    ``GciLimits.plan`` is ``"off"``).  Planning may collapse
-    ``edges_by_tag`` further (one representative per signature class),
-    so the canonical index space actually walked is
-    :attr:`index_space`, and :attr:`enumeration_space` is the survivor
-    count the enumerated/skipped accounting is measured against.
     """
 
     machines: dict[Node, Nfa]
@@ -262,30 +245,6 @@ class _PreparedGroup:
     pair_memo: dict[tuple, Optional[Nfa]] = field(default_factory=dict)
     residuals: Optional[list[bitset.Residual]] = None
     quotient_memo: dict[tuple, Any] = field(default_factory=dict)
-    plan: Optional[Any] = None
-
-    @property
-    def index_space(self) -> int:
-        """The canonical index space over the current edge lists."""
-        space = 1
-        for tag in self.tag_order:
-            space *= len(self.edges_by_tag[tag])
-        return space
-
-    @property
-    def enumeration_space(self) -> int:
-        """How many combinations stage 5 can walk at most (survivors
-        of the plan's viability mask; the whole index space without
-        one)."""
-        if self.plan is not None:
-            return self.plan.survivors
-        return self.factored_combinations
-
-    def survivors_in(self, start: int, stop: int) -> int:
-        """Walkable combinations with canonical index in [start, stop)."""
-        if self.plan is not None:
-            return self.plan.count_survivors(start, stop)
-        return max(0, stop - start)
 
 
 def _candidates(
@@ -304,7 +263,7 @@ def _candidates(
     """
     from ..parallel import parallel_candidates, resolve_workers
 
-    workers = resolve_workers(limits.workers, prepared.enumeration_space)
+    workers = resolve_workers(limits.workers, prepared.factored_combinations)
     if workers:
         yield from parallel_candidates(prepared, limits, workers)
         return
@@ -316,7 +275,7 @@ def _candidates(
             yield index, None, solution
     finally:
         obs.increment_metric("gci.combinations_enumerated", progress[0])
-        skipped = prepared.enumeration_space - progress[0]
+        skipped = prepared.factored_combinations - progress[0]
         if skipped > 0:
             obs.increment_metric("gci.combinations_skipped", skipped)
 
@@ -349,29 +308,18 @@ def _iter_candidates(
         return
     if limits.maximize:
         _residuals(prepared)
-    plan = prepared.plan
-    if plan is not None and plan.mask is not None:
-        # Planned walk: only the viability-mask survivors, by index.
-        indices: Any = plan.iter_survivors(start, stop)
-        digits = None
-    else:
-        indices = range(start, stop)
-        digits = _digits_at(start, radices)
-    for index in indices:
-        if digits is None:
-            current = _digits_at(index, radices)
-        else:
-            current = digits
+    digits = _digits_at(start, radices)
+    for index in range(start, stop):
         if progress is not None:
             # Serial path: heartbeat against the group's walkable space
             # (the parallel path reports per-chunk from _drain instead).
             progress[0] += 1
             obs.progress(
-                "gci_enumeration", progress[0], prepared.enumeration_space
+                "gci_enumeration", progress[0], prepared.factored_combinations
             )
         with obs.span("gci_combination") as sp:
             chosen = {
-                tag: edge_lists[pos][current[pos]]
+                tag: edge_lists[pos][digits[pos]]
                 for pos, tag in enumerate(prepared.tag_order)
             }
             solution = _slice_combination(prepared, chosen)
@@ -381,12 +329,11 @@ def _iter_candidates(
             sp.set("viable", solution is not None)
         if solution is not None:
             yield index, solution
-        if digits is not None:
-            for pos in range(len(digits) - 1, -1, -1):
-                digits[pos] += 1
-                if digits[pos] < radices[pos]:
-                    break
-                digits[pos] = 0
+        for pos in range(len(digits) - 1, -1, -1):
+            digits[pos] += 1
+            if digits[pos] < radices[pos]:
+                break
+            digits[pos] = 0
 
 
 def _digits_at(index: int, radices: list[int]) -> list[int]:
@@ -699,7 +646,7 @@ def _prepare_group(
     for tag in tag_order:
         total_combinations *= len(edges_by_tag[tag])
     if total_combinations > limits.max_combinations:
-        raise RuntimeError(
+        raise SolveLimitExceeded(
             f"CI-group requires {total_combinations} bridge combinations "
             f"(limit {limits.max_combinations})"
         )
@@ -750,10 +697,6 @@ def _prepare_group(
         slice_memo=slice_memo,
         pair_memo=pair_memo,
     )
-    if limits.plan != "off":
-        from .plan import build_plan
-
-        prepared.plan = build_plan(prepared, limits)
     return prepared
 
 

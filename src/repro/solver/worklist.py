@@ -110,9 +110,7 @@ def _solve_graph(
     query_names = list(query) if query is not None else list(variable_names)
     wanted: Optional[set[str]] = set(only) if only is not None else None
 
-    with obs.span(
-        "solve", variables=len(variable_names), plan=limits.plan
-    ) as solve_span:
+    with obs.span("solve", variables=len(variable_names)) as solve_span:
         # -- Constant-to-constant constraints are pure checks: a violated
         # one makes the whole system unsatisfiable regardless of variables.
         for edge in graph.subset_edges:

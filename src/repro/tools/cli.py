@@ -31,7 +31,7 @@ equivalent.  Three subcommands:
 
 ``solve``, ``check``, ``analyze``, and ``graph`` all take the same
 observability flags (``--stats-json``, ``--trace``, ``--journal``,
-cache, worker and planner knobs) — see :func:`_add_observability_flags`.
+cache and worker knobs) — see :func:`_add_observability_flags`.
 
 Examples::
 
@@ -60,8 +60,7 @@ from ..analysis.attacks import ALL_ATTACKS, CONTAINS_QUOTE
 from ..analysis.corpus import build_corpus
 from ..cache import CacheLimits, LangCache
 from ..constraints.dsl import DslError, parse_problem
-from ..solver.gci import GciLimits
-from ..solver.plan import PLAN_MODES
+from ..solver.gci import GciLimits, SolveLimitExceeded
 from ..solver.worklist import solve
 
 __all__ = ["main"]
@@ -96,33 +95,34 @@ def _add_observability_flags(subparser: argparse.ArgumentParser) -> None:
         "worker processes (docs/PARALLELISM.md); 0 forces serial, "
         "default honours the DPRLE_WORKERS environment variable",
     )
-    subparser.add_argument(
-        "--plan", choices=PLAN_MODES, default="off",
-        help="GCI enumeration planner (docs/PLANNER.md): 'equiv' "
-        "collapses signature-interchangeable bridge edges, 'beam' "
-        "prunes and schedules by the viability mask, 'full' does both "
-        "(default %(default)s; output is identical in every mode)",
-    )
 
 
 def _cli_limits(args: argparse.Namespace) -> Optional[GciLimits]:
     """GCI limits from CLI flags; None when every flag is at its
     default (so library defaults — including DPRLE_WORKERS — apply)."""
     precheck = bool(getattr(args, "precheck", False))
-    plan = getattr(args, "plan", "off")
-    if args.workers is None and not precheck and plan == "off":
+    if args.workers is None and not precheck:
         return None
-    return GciLimits(workers=args.workers, precheck=precheck, plan=plan)
+    return GciLimits(workers=args.workers, precheck=precheck)
 
 
-def _run_observed(args: argparse.Namespace, run) -> int:
+def _run_observed(args: argparse.Namespace, body) -> int:
     """Run a subcommand body under the language cache, with whatever
     telemetry sinks the flags request (collector and/or journal).
 
     This is the one flag-wiring point shared by ``solve``, ``check``,
     ``analyze``, and ``graph`` — the flags themselves are declared once
-    in :func:`_add_observability_flags`.
+    in :func:`_add_observability_flags`.  A solve over a
+    :class:`GciLimits` bound prints its D-code and exits 2.
     """
+
+    def run() -> int:
+        try:
+            return body()
+        except SolveLimitExceeded as error:
+            print(f"dprle: {error.code}: {error}", file=sys.stderr)
+            return 2
+
     cache = LangCache(
         CacheLimits(enabled=not args.no_cache, max_entries=args.cache_entries)
     )
@@ -289,10 +289,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         "--workers", type=int, default=None, metavar="N",
         help="default worker fan-out for solves (docs/PARALLELISM.md); "
         "0 forces serial, default honours DPRLE_WORKERS",
-    )
-    serve_cmd.add_argument(
-        "--plan", choices=PLAN_MODES, default="off",
-        help="default enumeration planner mode (docs/PLANNER.md)",
     )
     serve_cmd.add_argument(
         "--cache-entries", type=int, default=4096, metavar="N",
@@ -663,7 +659,6 @@ def _run_serve(args: argparse.Namespace) -> int:
             port=args.port,
             cache_db=args.cache_db,
             workers=args.workers,
-            plan=args.plan,
             cache_entries=args.cache_entries,
             batch_window=max(args.batch_window_ms, 0.0) / 1000.0,
             max_batch=args.max_batch,

@@ -33,7 +33,7 @@ class TestCodeTable:
             "D001", "D002", "D003", "D004",
             "D010", "D011", "D012", "D013", "D014", "D015", "D016",
             "D020", "D021",
-            "D100",
+            "D100", "D101",
         }
 
     def test_d00x_are_errors(self):

@@ -14,6 +14,11 @@ ABC = Alphabet(CharSet.of("abc"), name="abc")
 #: Two letters, for the property tests that enumerate all strings.
 AB = Alphabet(CharSet.of("ab"), name="ab")
 
+#: A DSL instance whose one CI-group needs 61³ = 226,981 bridge
+#: combinations, over the default ``GciLimits.max_combinations``; it is
+#: refused before any enumeration, so it fails fast.
+OVER_LIMIT_SOURCE = "var a, b, c, d;\na . b . c . d <= /[ab]{0,60}/;\n"
+
 
 def machine(pattern: str, alphabet: Alphabet = ABC) -> Nfa:
     """Compile a language-level regex over the test alphabet."""

@@ -2,13 +2,12 @@
 
 ``obs.absorb`` is the parent half of the worker-telemetry protocol
 (repro.parallel): counters add, gauges max, histograms merge
-bucketwise, the child trace is grafted under the current span, and
-legacy CostTracker sinks receive states/operations.
+bucketwise, and the child trace is grafted under the current span.
 """
 
 import pytest
 
-from repro import obs, stats
+from repro import obs
 
 
 def _child_snapshot() -> dict:
@@ -66,12 +65,20 @@ def test_trace_grafted_under_current_span():
     assert worker.find("inner_work")
 
 
-def test_cost_tracker_absorbs_states_and_operations():
+def test_collector_absorbs_states_and_operations():
     snapshot = _child_snapshot()
-    with stats.measure() as cost:
+    with obs.collect() as cost:
         obs.absorb(snapshot)
     assert cost.states_visited == 7
     assert cost.operations["product"] == 2
+
+
+def test_journal_takes_no_snapshot(tmp_path):
+    """A journal streams its own events; absorbing a worker snapshot
+    while only a journal is active must not fail."""
+    snapshot = _child_snapshot()
+    with obs.journal_to(tmp_path / "j.jsonl"):
+        obs.absorb(snapshot)
 
 
 def test_absorb_without_sinks_is_noop():

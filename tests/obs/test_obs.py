@@ -1,11 +1,12 @@
-"""Unit tests for the observability layer (:mod:`repro.obs`) and the
-legacy :mod:`repro.stats` shim over it."""
+"""Unit tests for the observability layer (:mod:`repro.obs`), including
+the paper's cost unit: NFA states visited (Sec. 3.5)."""
 
+import io
 import json
 
 import pytest
 
-from repro import obs, stats
+from repro import obs
 from repro.solver import concat_intersect
 from repro.solver.worklist import solve
 from repro.constraints import parse_problem
@@ -196,16 +197,16 @@ class TestJsonExport:
 
 
 class TestScoping:
-    def test_collect_and_measure_stack(self):
-        with stats.measure() as tracker:
-            with obs.collect() as collector:
+    def test_collect_scopes_stack(self):
+        with obs.collect() as outer:
+            with obs.collect() as inner:
                 concat_intersect(machine("a"), machine("b"), machine("ab"))
-            trailing = tracker.states_visited
-            assert collector.states_visited == trailing > 0
-            # Work after the collector closes still hits the tracker.
+            trailing = outer.states_visited
+            assert inner.states_visited == trailing > 0
+            # Work after the inner collector closes still hits the outer.
             concat_intersect(machine("a"), machine("b"), machine("ab"))
-            assert tracker.states_visited > trailing
-            assert collector.states_visited == trailing
+            assert outer.states_visited > trailing
+            assert inner.states_visited == trailing
 
     def test_nested_collectors_both_record(self):
         with obs.collect() as outer:
@@ -223,22 +224,80 @@ class TestScoping:
         assert obs.current_collector() is None
 
 
-class TestLegacyShim:
-    def test_solver_namespace_reexport(self):
-        from repro.solver import stats as solver_stats
+class TestCostModel:
+    """States visited and operation counts, the paper's cost unit."""
 
-        with solver_stats.measure() as cost:
-            concat_intersect(machine("a*"), machine("b"), machine("a*b"))
+    def test_counts_accumulate(self):
+        with obs.collect() as cost:
+            concat_intersect(machine("a*"), machine("b*"), machine("ab"))
         assert cost.states_visited > 0
+        assert cost.operations.get("concat", 0) >= 1
         assert cost.operations.get("product", 0) >= 1
 
-    def test_tracker_sees_what_collector_sees(self):
-        with stats.measure() as tracker, obs.collect() as collector:
+    def test_no_collector_outside_block(self):
+        assert obs.current_collector() is None
+        # Operations outside a collect block are no-ops, not errors.
+        concat_intersect(machine("a"), machine("b"), machine("ab"))
+
+    def test_nested_scopes_propagate(self):
+        # Inner work is part of the outer scope's cost, so it must
+        # propagate to all active ancestors.
+        with obs.collect() as outer:
+            machine("a")  # helper compiles via ops: counts here
+            before = outer.states_visited
+            with obs.collect() as inner:
+                concat_intersect(machine("a*"), machine("b"), machine("a*b"))
+            assert inner.states_visited > 0
+            assert outer.states_visited == before + inner.states_visited
+            assert all(
+                outer.operations.get(op, 0) >= count
+                for op, count in inner.operations.items()
+            )
+        assert obs.current_collector() is None
+
+    def test_current_returns_innermost(self):
+        # A journal stacked on top is a sink but not a collector, and an
+        # inner scope left by an exception hands the cost back to the outer.
+        with obs.collect() as outer:
+            with obs.journal_to(io.StringIO()):
+                assert obs.current_collector() is outer
+                with pytest.raises(RuntimeError):
+                    with obs.collect() as inner:
+                        assert obs.current_collector() is inner
+                        raise RuntimeError("unwind")
+                assert obs.current_collector() is outer
+            before = inner.states_visited
             concat_intersect(machine("a"), machine("b"), machine("ab"))
-        assert tracker.states_visited == collector.states_visited
+            assert inner.states_visited == before
+            assert outer.states_visited > before
+        assert obs.current_collector() is None
+
+    def test_bigger_inputs_cost_more(self):
+        with obs.collect() as small:
+            concat_intersect(machine("a"), machine("b"), machine("ab"))
+        with obs.collect() as big:
+            concat_intersect(
+                machine("(a|b){0,8}"), machine("(b|c){0,8}"), machine("(a|b|c){0,12}")
+            )
+        assert big.states_visited > small.states_visited
+
+    def test_solve_records_operations(self):
+        problem = parse_problem('var v;\nv <= /a+/;\nv <= /(aa)+/;')
+        with obs.collect() as cost:
+            solve(problem)
+        assert cost.operations.get("product", 0) >= 1
+
+    def test_operations_mirror_op_counters(self):
+        with obs.collect() as collector:
+            concat_intersect(machine("a"), machine("b"), machine("ab"))
         ops_total = {
             name[len("op."):]: value
             for name, value in collector.metrics.snapshot()["counters"].items()
             if name.startswith("op.")
         }
-        assert tracker.operations == ops_total
+        assert collector.operations == ops_total
+
+    def test_repr_mentions_counts(self):
+        with obs.collect() as cost:
+            machine("ab")
+        assert "states_visited" in repr(cost)

@@ -1,7 +1,7 @@
 """Runtime exhaustiveness: the schema registry and reality agree.
 
-Solves the wide corpus — serial, and parallel with planning and the
-precheck domains switched on — under a collector, then checks the
+Solves the wide corpus — serial, and parallel with the precheck
+domains switched on — under a collector, then checks the
 observed telemetry against :mod:`repro.obs.schema` in both directions:
 
 * **observed ⊆ schema** for every instrument kind: a name the solver
@@ -42,7 +42,7 @@ def wider_parallel():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(parallel, "MIN_PARALLEL_COMBINATIONS", 1)
         return _solve_under_collector(
-            "wider.dprle", workers=2, plan="full", precheck=True
+            "wider.dprle", workers=2, precheck=True
         )
 
 
@@ -72,7 +72,7 @@ class TestObservedSubsetOfSchema:
             ("histograms", schema.is_known_histogram),
         ],
     )
-    def test_wider_parallel_planned_prechecked(
+    def test_wider_parallel_prechecked(
         self, wider_parallel, kind, checker
     ):
         observed = _registry(wider_parallel)[kind]
@@ -114,14 +114,12 @@ class TestRequiredCoreObserved:
             assert name in registry["histograms"]
         assert "parallel.utilization" in registry["gauges"]
 
-    def test_precheck_and_plan_series_fire(self, wider_parallel):
+    def test_precheck_series_fire(self, wider_parallel):
         observed = set(_registry(wider_parallel)["counters"])
         # The precheck ran (its span counter fired) — on this corpus it
         # proves nothing empty, so the pruned/proved counters stay
-        # conditional; the planner did collapse combinations.
+        # conditional.
         assert "span.precheck" in observed
-        assert "span.gci_plan" in observed
-        assert "gci.combinations_pruned_plan" in observed
 
 
 class TestSchemaInternalConsistency:

@@ -2,7 +2,7 @@
 
 Each worker task runs under its own collector and ships the snapshot
 home; the parent absorbs it into every active sink, so ``--stats-json``
-totals, ``stats.measure()`` trackers, and span traces account for work
+totals, nested collectors, and span traces account for work
 no matter which process did it.
 """
 
@@ -11,7 +11,7 @@ import pathlib
 
 import pytest
 
-from repro import obs, parallel, stats
+from repro import obs, parallel
 from repro.constraints import parse_problem
 from repro.solver import solve
 from repro.solver.gci import GciLimits
@@ -87,11 +87,11 @@ def test_parallel_introspection_metrics_present():
 
 
 @pytest.mark.usefixtures("dispatch_every_group")
-def test_cost_tracker_includes_worker_work():
-    with stats.measure() as cost:
+def test_collector_cost_includes_worker_work():
+    with obs.collect() as cost:
         solve(_wide(), limits=_limits(2))
     # The enumeration's slicing intersections run only in the workers
-    # for this fixture; seeing them in the tracker proves the worker
+    # for this fixture; seeing them in the collector proves the worker
     # snapshots were absorbed.  (No serial-vs-parallel magnitude
     # comparison: workers keep process-global warm caches, so a
     # parallel run legitimately does far less raw automaton work.)
@@ -120,6 +120,20 @@ def test_cli_stats_json_totals_include_worker_metrics(tmp_path, capsys):
     # must be present in the CLI's exported totals.
     assert counters["gci.combinations_enumerated"] == 225
     assert counters["states_visited"] > 0
+
+
+def test_cli_journal_alone_with_workers(tmp_path, capsys):
+    """A journal without a collector still gets worker snapshots shipped
+    home; absorbing them must not fail the solve."""
+    journal = tmp_path / "j.jsonl"
+    code = main(
+        ["solve", str(DATA / "wide.dprle"), "--workers", "2",
+         "--journal", str(journal)]
+    )
+    assert code == 0
+    capsys.readouterr()
+    events = [json.loads(line) for line in journal.read_text().splitlines()]
+    assert events[-1]["event"] == "journal_end"
 
 
 def test_cli_workers_flag_matches_serial_output(tmp_path, capsys):

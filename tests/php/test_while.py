@@ -60,16 +60,15 @@ class TestAnalysis:
 
     def test_repeated_variable_assignment_is_sound(self):
         """Two loop iterations concatenate the same input twice: the
-        returned assignment must satisfy the (non-linear) constraint."""
+        returned assignment must satisfy the (non-linear) constraint and
+        admit no (sampled) extension."""
         executor = SymbolicExecutor(CONTAINS_QUOTE.machine())
         for query in executor.run(parse_php(LOOP)):
             solutions = solve(query.problem(), query=query.inputs, max_solutions=1)
             if not solutions.satisfiable:
                 continue
-            report = check_assignment(
-                query.problem(), solutions.first, check_maximality=False
-            )
-            assert report.satisfying, report.violations
+            report = check_assignment(query.problem(), solutions.first)
+            assert report.ok, report.violations
 
     def test_guard_constraints_per_iteration(self):
         executor = SymbolicExecutor(CONTAINS_QUOTE.machine())

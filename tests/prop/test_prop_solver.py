@@ -77,8 +77,10 @@ def test_rma_solutions_verify(c1, c2, c3, maximize):
     limits = GciLimits(maximize=maximize, max_combinations=10_000)
     solutions = solve(problem, limits=limits)
     for assignment in solutions.nonempty():
-        report = check_assignment(problem, assignment, check_maximality=False)
+        report = check_assignment(problem, assignment)
         assert report.satisfying, report.violations
+        if maximize:
+            assert report.maximal is not False, report.violations
 
 
 @SETTINGS

@@ -18,6 +18,8 @@ import pytest
 from repro.server import SCHEMA, ServerConfig, SolveDaemon
 from repro.server.handlers import compat_key
 
+from ..helpers import OVER_LIMIT_SOURCE
+
 DATA = pathlib.Path(__file__).parent.parent / "data"
 
 SIMPLE_SOURCE = "var v;\nv <= /ab+(c|d)*/;\n"
@@ -123,6 +125,17 @@ class TestErrors:
         assert status == 400
         assert doc["error"]["code"].startswith("D")
         assert "line 2" in doc["error"]["message"]
+
+    def test_combination_limit_is_422_with_d101(self, daemon):
+        status, doc = daemon.request(
+            "POST", "/solve", {"source": OVER_LIMIT_SOURCE}
+        )
+        assert status == 422
+        assert doc["error"]["code"] == "D101"
+        assert "226981" in doc["error"]["message"]
+        # One refused request is not a dead daemon.
+        status, _ = daemon.request("POST", "/solve", {"source": SIMPLE_SOURCE})
+        assert status == 200
 
     def test_missing_source_is_400(self, daemon):
         status, doc = daemon.request("POST", "/solve", {})
@@ -256,18 +269,20 @@ class TestBatching:
             assert batch_size["max"] >= 2
             assert stats["metrics"]["counters"]["server.batches"] >= 1
 
-    def test_compat_key_is_kind_workers_plan(self):
+    def test_compat_key_is_kind_workers(self):
         config = ServerConfig(workers=0)
-        payload = {"source": SIMPLE_SOURCE, "plan": "full"}
-        assert compat_key("solve", payload, config) == ("solve", "0", "full")
-        # A "backend" field is ignored like any other unknown field.
-        assert compat_key(
-            "solve", dict(payload, backend="bitset"), config
-        ) == compat_key("solve", payload, config)
+        payload = {"source": SIMPLE_SOURCE}
+        assert compat_key("solve", payload, config) == ("solve", "0")
+        # Retired knobs are ignored like any other unknown field.
+        for field in ("backend", "plan"):
+            assert compat_key(
+                "solve", dict(payload, **{field: "full"}), config
+            ) == compat_key("solve", payload, config)
 
-    def test_unknown_backend_field_still_solves(self, daemon):
+    @pytest.mark.parametrize("field", ["backend", "plan"])
+    def test_unknown_knob_field_still_solves(self, daemon, field):
         status, doc = daemon.request(
-            "POST", "/solve", {"source": SIMPLE_SOURCE, "backend": "typo"}
+            "POST", "/solve", {"source": SIMPLE_SOURCE, field: "typo"}
         )
         assert status == 200
         assert doc["result"]["satisfiable"] is True

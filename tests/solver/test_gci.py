@@ -7,10 +7,11 @@ import pytest
 from repro.automata import enumerate_strings, equivalent, is_subset, ops
 from repro.constraints import Node, Subset, Var, build_graph, parse_problem
 from repro.constraints.terms import ConcatTerm, Const, Problem
-from repro.solver import GciLimits, gci, solve, solve_group
+from repro.check.diagnostics import CODES, Severity
+from repro.solver import GciLimits, SolveLimitExceeded, gci, solve, solve_group
 
 from .. import oracle
-from ..helpers import ABC, machine
+from ..helpers import ABC, OVER_LIMIT_SOURCE, machine
 
 DATA = pathlib.Path(__file__).parent.parent / "data"
 
@@ -198,11 +199,17 @@ class TestLimits:
 
     def test_combination_guard(self):
         limits = GciLimits(max_combinations=0)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(SolveLimitExceeded):
             run_group(
                 Subset(Var("x").concat(Var("y")), _const("c", "ab")),
                 limits=limits,
             )
+
+    def test_default_combination_limit_is_typed_d101(self):
+        with pytest.raises(SolveLimitExceeded, match="226981") as caught:
+            solve(parse_problem(OVER_LIMIT_SOURCE))
+        assert caught.value.code == "D101"
+        assert CODES["D101"][0] is Severity.ERROR
 
     def test_dedupe_off_keeps_duplicates(self):
         loose = GciLimits(dedupe=False, prune_subsumed=False, maximize=False)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import stats
+from repro import obs
 from repro.constraints import parse_problem
 from repro.solver import solve
 
@@ -34,9 +34,9 @@ class TestOnly:
 
     def test_partial_solving_skips_work(self):
         problem = parse_problem(PROBLEM)
-        with stats.measure() as full_cost:
+        with obs.collect() as full_cost:
             solve(problem)
-        with stats.measure() as partial_cost:
+        with obs.collect() as partial_cost:
             solve(problem, only=["cheap"])
         assert partial_cost.states_visited < full_cost.states_visited
 

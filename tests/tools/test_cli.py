@@ -7,6 +7,8 @@ import pytest
 
 from repro.tools.cli import main
 
+from ..helpers import OVER_LIMIT_SOURCE
+
 MOTIVATING = """
 var v1;
 v1 <= m/[\\d]+$/;
@@ -51,6 +53,19 @@ class TestSolve:
         path.write_text("var a, b;\na . b <= /x{6}/;")
         assert main(["solve", str(path), "--max-solutions", "2"]) == 0
         assert "2 assignment(s)" in capsys.readouterr().out
+
+    def test_combination_limit_is_d101_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "huge.dprle"
+        path.write_text(OVER_LIMIT_SOURCE)
+        assert main(["solve", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "D101: CI-group requires 226981 bridge combinations" in err
+
+    def test_plan_flag_is_gone(self, constraint_file, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["solve", str(constraint_file), "--plan", "full"])
+        assert caught.value.code == 2
+        assert "--plan" in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.dprle")]) == 2
