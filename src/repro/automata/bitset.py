@@ -971,49 +971,54 @@ def pre(res: Residual, machine: Nfa, goal: int) -> int:
 
 
 def run(res: Residual, tracks: int, goal: int) -> Nfa:
-    """The multi-track universal run: ``{w | δ(tracks, w) ⊆ goal}``.
+    """The multi-track universal run: ``{w | δ(tracks, w) ⊆ goal}``, as
+    its minimal DFA (trimmed, as an NFA).
 
     Track sets intern as ints; one is accepting iff it is non-empty and
     inside ``goal`` (so an empty ``tracks`` gives the empty language).
     The DFA is complete, so a non-empty track set steps to a non-empty
-    one on every block.  Blocks that land on the same track set merge
-    into one transition — the result is only ever consumed as a
-    language.  Visits count one per interned track set.
+    one on every block, and the track-set machine is a complete DFA
+    over the residual's blocks: Hopcroft (:func:`minimize_dfa`, looked
+    up at call time like every kernel) runs on it directly, with no
+    subset construction.  The GCI maximization intersects the result
+    with a leaf that may be large, so each state saved here is a copy
+    of that leaf its product never builds.  Visits count one per
+    interned track set, plus Hopcroft's own.
     """
     n = res.n
     full = res.full
     nmt = len(res.space.blocks)
     charset = res.space.charset
-    out = Nfa(res.dfa.alphabet)
     ids: dict[int, int] = {}
     worklist: list[int] = []
+    transitions: dict[int, list[tuple[CharSet, int]]] = {}
+    finals: set[int] = set()
 
     def intern(target: int) -> int:
         sid = ids.get(target)
         if sid is None:
-            sid = out.add_state()
-            ids[target] = sid
+            sid = ids[target] = len(ids)
             worklist.append(target)
         return sid
 
-    out.starts = {intern(tracks)}
-    visited = 0
+    start = intern(tracks)
     while worklist:
         current = worklist.pop()
         src = ids[current]
-        visited += 1
         if current and not (current & ~goal):
-            out.finals.add(src)
+            finals.add(src)
         acc = res.successors(current)
         by_target: dict[int, int] = {}
         for k in range(nmt):
             target = (acc >> (k * n)) & full
-            if target:
-                by_target[target] = by_target.get(target, 0) | (1 << k)
-        for target, blocks in by_target.items():
-            out.add_transition(src, charset(blocks), intern(target))
-    obs.visit_states(visited)
-    return out
+            by_target[target] = by_target.get(target, 0) | (1 << k)
+        transitions[src] = [
+            (charset(blocks), intern(target))
+            for target, blocks in by_target.items()
+        ]
+    obs.visit_states(len(ids))
+    dfa = dfa_mod.Dfa(res.dfa.alphabet, transitions, start, finals)
+    return minimize_dfa(dfa).to_nfa().trim()
 
 
 def left_quotient(prefixes: Nfa, language: Nfa) -> Nfa:

@@ -267,15 +267,20 @@ class Nfa:
         self,
         starts: Optional[Iterable[int]] = None,
         finals: Optional[Iterable[int]] = None,
+        barrier: frozenset[BridgeTag] = frozenset(),
+        walked: Optional[list[int]] = None,
     ) -> set[int]:
-        """States on some start→final path.
+        """States on some start→final path that crosses no ``barrier`` tag.
 
         ``starts`` and ``finals`` default to the machine's own.  The
         forward pass from the starts records each edge it walks in a
         predecessor map, so the map for the backward pass from the
         finals covers only the states reached forward: a boundary deep
         inside a large machine costs the part of the machine it can
-        reach, not the whole of it.
+        reach, not the whole of it.  An edge tagged in ``barrier`` is
+        never walked, so neither is anything only it leads to.
+        ``walked``, when given, is a one-element list incremented by the
+        number of states the forward pass reached.
         """
         edges = self._edges
         roots = set(self.starts if starts is None else starts)
@@ -289,13 +294,17 @@ class Nfa:
         stack = list(roots)
         while stack:
             src = stack.pop()
-            for _, dst, _ in edges[src]:
+            for _, dst, tag in edges[src]:
+                if tag in barrier:
+                    continue
                 if dst in first:
                     more.setdefault(dst, []).append(src)
                 else:
                     first[dst] = src
                     if dst not in roots:
                         stack.append(dst)
+        if walked is not None:
+            walked[0] += len(roots.union(first))
         live = {
             state
             for state in (self.finals if finals is None else finals)
@@ -339,26 +348,41 @@ class Nfa:
         """
         return self.restricted(self.starts, self.finals)
 
-    def restricted(self, starts: Iterable[int], finals: Iterable[int]) -> "Nfa":
+    def restricted(
+        self,
+        starts: Iterable[int],
+        finals: Iterable[int],
+        barrier: frozenset[BridgeTag] = frozenset(),
+        walked: Optional[list[int]] = None,
+    ) -> "Nfa":
         """Trimmed copy with ``starts`` and ``finals`` as its boundary.
 
         ``m.restricted({q}, m.finals)`` is the paper's
         induce_from_start(m, q) and ``m.restricted(m.starts, {q})`` its
         induce_from_final(m, q), trimmed.  The result is the machine a
-        :meth:`copy` given these starts and finals would trim to (same
-        ids, edges, starts, finals and next id), but it is built from
-        the live states alone: the states the trim would drop are never
-        copied.  The starts are always kept, so the result is
+        :meth:`copy` given these starts and finals, less its edges
+        tagged in ``barrier``, would trim to (same ids, edges, starts,
+        finals and next id), but it is built from the live states
+        alone: the states the trim would drop are never copied, and the
+        walk never enters what lies only beyond a ``barrier`` edge.  A
+        slice that no start→final path can take across a barrier tag is
+        therefore the same machine as without the barrier, at the cost
+        of its own region.  The starts are always kept, so the result is
         well-formed even when its language is empty — which is exactly
-        when its ``finals`` are empty.
+        when its ``finals`` are empty.  ``walked`` is as for
+        :meth:`live_states`.
         """
         roots = set(starts)
-        live = self.live_states(roots, finals)
+        live = self.live_states(roots, finals, barrier, walked)
         edges = self._edges
         clone = Nfa(self.alphabet)
         clone._next_state = self._next_state
         clone._edges = {
-            state: [edge for edge in edges[state] if edge.dst in live]
+            state: [
+                edge
+                for edge in edges[state]
+                if edge.dst in live and edge.tag not in barrier
+            ]
             for state in live
         }
         for state in roots - live:

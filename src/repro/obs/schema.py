@@ -157,6 +157,8 @@ COUNTERS: frozenset[str] = frozenset(
         "gci.pair_memo_misses",
         "gci.slice_memo_hits",
         "gci.slice_memo_misses",
+        "gci.slice.states_walked",
+        "gci.slice.states_kept",
         "cache.store.hits",
         "cache.store.misses",
         "cache.store.writes",

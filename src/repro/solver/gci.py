@@ -57,6 +57,7 @@ bridge-ε choices, exactly one choice per concatenation in the group.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
 
@@ -219,7 +220,12 @@ class _PreparedGroup:
     an occurrence's slice depends on at most two tags, so the memo
     collapses the per-combination restriction of the top machine
     (:meth:`~repro.automata.nfa.Nfa.restricted`) to one computation per
-    (occurrence, boundary-edge) pair.  ``pair_memo``
+    (occurrence, boundary-edge) pair.  ``barriers`` holds each top's own
+    bridge tags, derived from the occurrences (every tag of a top bounds
+    one of its occurrences), so a decoded worker copy derives the same
+    sets; a slice is walked with its top's set as the barrier and so
+    stays inside its own region (see :func:`_occurrence_slice`).
+    ``pair_memo``
     memoizes the pairwise share intersections (trimmed, ``None`` when
     empty) keyed by the two occurrences' boundary keys; factoring fills
     it and :func:`_slice_combination` reads it back.
@@ -245,6 +251,16 @@ class _PreparedGroup:
     pair_memo: dict[tuple, Optional[Nfa]] = field(default_factory=dict)
     residuals: Optional[list[bitset.Residual]] = None
     quotient_memo: dict[tuple, Any] = field(default_factory=dict)
+    barriers: dict[Node, frozenset[BridgeTag]] = field(init=False)
+
+    def __post_init__(self) -> None:
+        barriers: dict[Node, set[BridgeTag]] = {}
+        for occ in self.occurrences:
+            own = barriers.setdefault(occ.top, set())
+            for boundary in (occ.start_of, occ.final_of):
+                if boundary[0] != "machine":
+                    own.add(boundary[1])
+        self.barriers = {top: frozenset(own) for top, own in barriers.items()}
 
 
 def _candidates(
@@ -533,14 +549,7 @@ def _occ_blocks(
         return False
     language = solution[occ.node]
     for start_edge, final_edge in boundaries:
-        piece = _occurrence_slice(
-            prepared.machines,
-            occ,
-            occ_index,
-            start_edge,
-            final_edge,
-            prepared.slice_memo,
-        )
+        piece = _occurrence_slice(prepared, occ_index, start_edge, final_edge)
         # An empty slice blocks trivially: the member's language is
         # non-empty (viable candidates never map a variable to ∅).
         if piece is not None and is_subset(language, piece):
@@ -651,6 +660,19 @@ def _prepare_group(
             f"(limit {limits.max_combinations})"
         )
 
+    var_nodes = sorted((n for n in leaves if n.is_var), key=lambda n: n.name)
+    prepared = _PreparedGroup(
+        machines=machines,
+        occurrences=occurrences,
+        tag_order=tag_order,
+        edges_by_tag=edges_by_tag,
+        constraint_specs=[],
+        var_nodes=var_nodes,
+        leaves=leaves,
+        total_combinations=total_combinations,
+        factored_combinations=total_combinations,
+    )
+
     # -- Stage 4.5: combination-space factoring.  A bridge edge whose
     # slice is empty for one of its occurrences under every completion,
     # or whose slice misses every partner slice of another occurrence
@@ -658,22 +680,17 @@ def _prepare_group(
     # combination; dropping it shrinks the product that stage 5 walks.
     # The slices and pairwise intersections computed here seed the
     # memos the enumeration reuses.
-    slice_memo: dict[tuple, Optional[Nfa]] = {}
-    pair_memo: dict[tuple, Optional[Nfa]] = {}
     with obs.span("gci_factor", tags=len(tag_order)):
-        factorable = _factor_edges(
-            machines, occurrences, tag_order, edges_by_tag, slice_memo, pair_memo
-        )
+        factorable = _factor_edges(prepared)
     if not factorable:
         return None  # some tag lost all its edges: unrealizable
-    factored_combinations = 1
-    for tag in tag_order:
-        factored_combinations *= len(edges_by_tag[tag])
+    prepared.factored_combinations = math.prod(
+        len(edges_by_tag[tag]) for tag in tag_order
+    )
 
     # Flattened leaf sequences per constrained temp, for maximization:
     # the subtree of temp ``t`` denotes the concatenation of its leaves
     # in order, and must be ⊆ every constant on ``t``.
-    constraint_specs: list[tuple[Nfa, list[Node]]] = []
     if limits.maximize:
         for temp in ordered_temps:
             inbound = graph.inbound_subsets(temp)
@@ -681,33 +698,13 @@ def _prepare_group(
                 continue
             leaf_seq = _flatten_leaves(graph, group, temp)
             for const_node in inbound:
-                constraint_specs.append((const_machine(const_node), leaf_seq))
-
-    var_nodes = sorted((n for n in leaves if n.is_var), key=lambda n: n.name)
-    prepared = _PreparedGroup(
-        machines=machines,
-        occurrences=occurrences,
-        tag_order=tag_order,
-        edges_by_tag=edges_by_tag,
-        constraint_specs=constraint_specs,
-        var_nodes=var_nodes,
-        leaves=leaves,
-        total_combinations=total_combinations,
-        factored_combinations=factored_combinations,
-        slice_memo=slice_memo,
-        pair_memo=pair_memo,
-    )
+                prepared.constraint_specs.append(
+                    (const_machine(const_node), leaf_seq)
+                )
     return prepared
 
 
-def _factor_edges(
-    machines: dict[Node, Nfa],
-    occurrences: list[_Occurrence],
-    tag_order: list[BridgeTag],
-    edges_by_tag: dict[BridgeTag, list[tuple[int, int]]],
-    memo: dict[tuple, Optional[Nfa]],
-    pair_memo: dict[tuple, Optional[Nfa]],
-) -> bool:
+def _factor_edges(prepared: _PreparedGroup) -> bool:
     """Drop bridge edges that admit no viable combination; fixpoint.
 
     Two per-edge tests, neither needing a full product walk:
@@ -734,6 +731,8 @@ def _factor_edges(
     Returns False when a tag loses every edge (the group is
     unrealizable).
     """
+    occurrences = prepared.occurrences
+    edges_by_tag = prepared.edges_by_tag
     # Single-tagged-boundary occurrences of each shared variable: the
     # slice is determined by one edge choice, so the pairwise check is
     # |edges| x |edges| at worst (and early-exits per edge).  Doubly
@@ -767,9 +766,7 @@ def _factor_edges(
 
             def viable(start_edge, final_edge) -> bool:
                 return (
-                    _occurrence_slice(
-                        machines, occ, occ_index, start_edge, final_edge, memo
-                    )
+                    _occurrence_slice(prepared, occ_index, start_edge, final_edge)
                     is not None
                 )
 
@@ -831,12 +828,7 @@ def _factor_edges(
                         partners = [edge] if tag2 is tag1 else edges_by_tag[tag2]
                         if not any(
                             _share_intersection(
-                                machines,
-                                occurrences,
-                                key1,
-                                key_of(i2, side2, partner),
-                                memo,
-                                pair_memo,
+                                prepared, key1, key_of(i2, side2, partner)
                             )
                             is not None
                             for partner in partners
@@ -854,12 +846,7 @@ def _factor_edges(
 
 
 def _share_intersection(
-    machines: dict[Node, Nfa],
-    occurrences: list[_Occurrence],
-    key1: tuple,
-    key2: tuple,
-    memo: dict[tuple, Optional[Nfa]],
-    pair_memo: dict[tuple, Optional[Nfa]],
+    prepared: _PreparedGroup, key1: tuple, key2: tuple
 ) -> Optional[Nfa]:
     """Trimmed intersection of two occurrence slices, memoized.
 
@@ -868,17 +855,14 @@ def _share_intersection(
     machine is shared, so callers must ``copy()`` before handing it out
     as part of a solution.  ``None`` means the intersection is empty.
     """
+    pair_memo = prepared.pair_memo
     pair_key = (key1, key2) if key1[0] < key2[0] else (key2, key1)
     if pair_key in pair_memo:
         obs.increment_metric("gci.pair_memo_hits")
         return pair_memo[pair_key]
     obs.increment_metric("gci.pair_memo_misses")
-    a = _occurrence_slice(
-        machines, occurrences[key1[0]], key1[0], key1[1], key1[2], memo
-    )
-    b = _occurrence_slice(
-        machines, occurrences[key2[0]], key2[0], key2[1], key2[2], memo
-    )
+    a = _occurrence_slice(prepared, *key1)
+    b = _occurrence_slice(prepared, *key2)
     if a is None or b is None:
         result = None
     else:
@@ -890,12 +874,10 @@ def _share_intersection(
 
 
 def _occurrence_slice(
-    machines: dict[Node, Nfa],
-    occ: _Occurrence,
+    prepared: _PreparedGroup,
     occ_index: int,
     start_edge: Optional[tuple[int, int]],
     final_edge: Optional[tuple[int, int]],
-    memo: dict[tuple, Optional[Nfa]],
 ) -> Optional[Nfa]:
     """The occurrence's sub-machine for one boundary choice, memoized.
 
@@ -905,17 +887,35 @@ def _occurrence_slice(
     paper's induce-from construction.  Returns ``None`` for an empty
     slice.  Memoized machines are shared across combinations — callers
     must copy before handing one out as (part of) a solution.
+
+    The walk takes the top's own bridge tags as its barrier, so it
+    stays inside the occurrence's region instead of walking everything
+    after its start.  The result is the unbarriered slice exactly:
+    ``ops.concat`` tags every ε-edge from a left region into a right
+    one, ``product`` carries the tag onto every image, and no edge
+    leads back from right to left.  A path that crossed one of its
+    top's tags would be in a later region, with no way back to the
+    occurrence's own final, so the barrier drops only states the trim
+    drops anyway.  Each miss counts the states walked and kept
+    (``gci.slice.states_walked`` / ``gci.slice.states_kept``).
     """
+    memo = prepared.slice_memo
     key = (occ_index, start_edge, final_edge)
     if key in memo:
         obs.increment_metric("gci.slice_memo_hits")
         return memo[key]
     obs.increment_metric("gci.slice_memo_misses")
-    top = machines[occ.top]
+    occ = prepared.occurrences[occ_index]
+    top = prepared.machines[occ.top]
+    walked = [0]
     piece = top.restricted(
         top.starts if start_edge is None else {start_edge[1]},
         top.finals if final_edge is None else {final_edge[0]},
+        prepared.barriers[occ.top],
+        walked,
     )
+    obs.increment_metric("gci.slice.states_walked", walked[0])
+    obs.increment_metric("gci.slice.states_kept", piece.num_states)
     # A restriction keeps only live finals: none means an empty slice.
     result = piece if piece.finals else None
     # dprle-lint: disable=L001 -- memo is a documented out-param accumulator, not machine state
@@ -939,14 +939,7 @@ def _slice_combination(
         final_edge = (
             chosen[occ.final_of[1]] if occ.final_of[0] != "machine" else None
         )
-        piece = _occurrence_slice(
-            prepared.machines,
-            occ,
-            occ_index,
-            start_edge,
-            final_edge,
-            prepared.slice_memo,
-        )
+        piece = _occurrence_slice(prepared, occ_index, start_edge, final_edge)
         if piece is None:
             return None
         slices[occ.node].append(((occ_index, start_edge, final_edge), piece))
@@ -961,14 +954,7 @@ def _slice_combination(
         elif len(parts) == 2:
             # The common sharing shape; the intersection is memoized
             # (and may already be warm from the factoring pass).
-            cached = _share_intersection(
-                prepared.machines,
-                prepared.occurrences,
-                parts[0][0],
-                parts[1][0],
-                prepared.slice_memo,
-                prepared.pair_memo,
-            )
+            cached = _share_intersection(prepared, parts[0][0], parts[1][0])
             if cached is None:
                 return None
             machine = cached.copy()

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.automata import bitset, ops, serialize
 from repro.automata.backend import active_backend
-from repro.automata.dfa import determinize
+from repro.automata.dfa import determinize, minimize_nfa
 from repro.automata.equivalence import equivalent
 from repro.automata.nfa import Nfa
 from repro.automata.ops import concat, union
@@ -106,6 +106,10 @@ class TestKernelEquivalence:
         mb = bitset.minimize_dfa(bitset.determinize(a))
         assert mr.num_states == mb.num_states
         assert equivalent(mr.to_nfa(), mb.to_nfa())
+        # Both number the minimal DFA canonically, so the machines are
+        # the same, not only language-equal: GCI intersects ``run``'s
+        # minimal DFAs with leaves, and the products must match.
+        assert serialize.to_dict(mr.to_nfa()) == serialize.to_dict(mb.to_nfa())
         # Prefix labels may reach outside the alphabet universe ("x" is
         # not in {a, b}); no string of the language continues there.
         prefixes = a
@@ -155,6 +159,24 @@ class TestResidualKernels:
         assert equivalent(
             bitset.run(res, tracks, goal), oracle.run(res, tracks, goal)
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        machines(max_depth=2),
+        st.integers(min_value=0),
+        st.integers(min_value=0),
+    )
+    def test_run_is_minimal(self, language, seed, goal_seed):
+        """``run`` returns the minimal DFA of ``{w | δ(tracks, w) ⊆
+        goal}``: minimizing its own output saves nothing, and it is
+        language-equal to the unminimized track-set construction."""
+        res = bitset.Residual(determinize(language))
+        tracks = seed & res.full
+        goal = goal_seed & res.full
+        out = bitset.run(res, tracks, goal)
+        assert out.num_states == minimize_nfa(out).num_states
+        assert equivalent(out, oracle.track_set_dfa(res, tracks, goal).to_nfa())
+        assert oracle.run(res, tracks, goal).num_states == out.num_states
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -13,9 +13,12 @@ slow and obviously correct, and the production kernels in
 * ``determinize`` and ``product`` must agree *structurally*: same
   states in the same numbering, same edges, labels, bridge tags and
   provenance;
-* ``minimize_dfa`` must agree on the language and the minimal size;
+* ``minimize_dfa`` must agree on the language and the minimal size,
+  and both number the result canonically, so the machines are equal;
 * ``post``, ``pre`` and ``run`` must agree exactly: the same state
-  masks, and a language-equal run;
+  masks, and a language-equal run of the same (minimal) size;
+  :func:`track_set_dfa` is the unminimized run both are checked
+  against;
 * ``left_quotient`` and ``right_quotient`` must agree on the language.
   They are the constructions the production kernels replaced: the left
   quotient seed-searches a pair walk and runs the seeds (no
@@ -54,6 +57,7 @@ __all__ = [
     "post",
     "pre",
     "run",
+    "track_set_dfa",
     "left_quotient",
     "right_quotient",
     "counterexample",
@@ -201,8 +205,21 @@ def minimize_dfa(dfa: Dfa) -> Dfa:
             target_blk = member[dfa.delta(rep_state, rest.min_char())]
             by_target[target_blk] = by_target.get(target_blk, CharSet.empty()) | rest
         transitions[blk_idx] = [(cs, dst) for dst, cs in sorted(by_target.items())]
-    new_finals = {member[s] for s in finals}
-    return Dfa(dfa.alphabet, transitions, member[dfa.start], new_finals)
+
+    # Number the blocks canonically, as minimize_dfa promises: BFS from
+    # the start block, successors in ascending label order.
+    order = {member[dfa.start]: 0}
+    queue = [member[dfa.start]]
+    for blk_idx in queue:
+        for _, dst in sorted(transitions[blk_idx], key=lambda m: m[0].min_char()):
+            if dst not in order:
+                order[dst] = len(queue)
+                queue.append(dst)
+    canonical = {
+        order[blk_idx]: sorted(((cs, order[dst]) for cs, dst in moves), key=lambda m: m[1])
+        for blk_idx, moves in transitions.items()
+    }
+    return Dfa(dfa.alphabet, canonical, 0, {order[member[s]] for s in finals})
 
 
 def product(a: Nfa, b: Nfa) -> tuple[Nfa, dict[int, tuple[int, int]]]:
@@ -396,37 +413,51 @@ def pre(res: bitset.Residual, machine: Nfa, goal: int) -> int:
     return out
 
 
-def run(res: bitset.Residual, tracks: int, goal: int) -> Nfa:
-    """The universal run over frozensets of DFA states, fresh minterms
-    per subset, one ``visit_states(1)`` per subset."""
+def track_set_dfa(res: bitset.Residual, tracks: int, goal: int) -> Dfa:
+    """The universal run's track-set DFA, unminimized: frozensets of
+    residual states, fresh minterms per subset, one ``visit_states(1)``
+    per subset.  The language oracle for :func:`run` and
+    :func:`repro.automata.bitset.run`."""
     dfa = res.dfa
     members = lambda mask: frozenset(
         res.states[i] for i in range(res.n) if mask >> i & 1
     )
     accepting = members(goal)
-    out = Nfa(dfa.alphabet)
     ids: dict[frozenset[int], int] = {}
     worklist: list[frozenset[int]] = []
+    transitions: dict[int, list[tuple[CharSet, int]]] = {}
+    finals: set[int] = set()
 
     def intern(subset: frozenset[int]) -> int:
         if subset not in ids:
-            ids[subset] = out.add_state()
+            ids[subset] = len(ids)
             worklist.append(subset)
         return ids[subset]
 
-    out.starts = {intern(members(tracks))}
+    start = intern(members(tracks))
     while worklist:
         subset = worklist.pop()
         src = ids[subset]
         obs.visit_states(1)
         if subset and subset <= accepting:
-            out.finals.add(src)
+            finals.add(src)
         labels = [label for d in sorted(subset) for label, _ in dfa.transitions[d]]
-        for block in minterms(labels):
-            rep = block.min_char()
-            target = frozenset(dfa.delta(d, rep) for d in subset)
-            out.add_transition(src, block, intern(target))
-    return out
+        # The empty track set has no labels: it loops on everything.
+        blocks = minterms(labels) if subset else [dfa.alphabet.universe]
+        transitions[src] = [
+            (
+                block,
+                intern(frozenset(dfa.delta(d, block.min_char()) for d in subset)),
+            )
+            for block in blocks
+        ]
+    return Dfa(dfa.alphabet, transitions, start, finals)
+
+
+def run(res: bitset.Residual, tracks: int, goal: int) -> Nfa:
+    """:func:`track_set_dfa`, minimized by the kernel table's Hopcroft
+    and trimmed, as the production ``run`` does."""
+    return bitset.minimize_dfa(track_set_dfa(res, tracks, goal)).to_nfa().trim()
 
 
 def counterexample(a: Nfa, b: Nfa) -> Optional[str]:
