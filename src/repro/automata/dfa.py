@@ -128,15 +128,8 @@ def determinize(nfa: Nfa) -> Dfa:
 
     Symbolic labels are handled by mintermizing the labels leaving each
     subset state, so the construction never enumerates individual
-    characters.  Memoized per machine by the active language cache.
+    characters.
     """
-    cache = active_cache()
-    if cache is not None:
-        return cache.determinize(nfa)
-    return _determinize_instrumented(nfa)
-
-
-def _determinize_instrumented(nfa: Nfa) -> Dfa:
     obs.count_operation("determinize")
     with obs.span("determinize", states_in=nfa.num_states) as sp:
         dfa = bitset.determinize(nfa)
@@ -145,14 +138,7 @@ def _determinize_instrumented(nfa: Nfa) -> Dfa:
 
 
 def complement(nfa: Nfa) -> Nfa:
-    """The NFA for ``Σ* \\ L(nfa)``; signature-memoized when cached."""
-    cache = active_cache()
-    if cache is not None:
-        return cache.complement(nfa)
-    return _complement_instrumented(nfa)
-
-
-def _complement_instrumented(nfa: Nfa) -> Nfa:
+    """The NFA for ``Σ* \\ L(nfa)``."""
     obs.count_operation("complement")
     with obs.span("complement", states_in=nfa.num_states) as sp:
         result = determinize(nfa).complemented().to_nfa()

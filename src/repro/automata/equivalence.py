@@ -179,14 +179,9 @@ def is_subset(a: Nfa, b: Nfa) -> bool:
 
 
 def equivalent(a: Nfa, b: Nfa) -> bool:
-    """Decide ``L(a) = L(b)``.
+    """Decide ``L(a) = L(b)`` as two inclusions.
 
-    With a language cache active and both signatures already known this
-    is a signature comparison: the canonical-form digests agree exactly
-    when the languages do.  Otherwise the cache falls back to the lazy
-    bidirectional inclusion check and memoizes the verdict.
+    With a language cache active both verdicts are memoized through
+    :func:`is_subset`, which never forces a signature.
     """
-    cache = active_cache()
-    if cache is not None:
-        return cache.equivalent(a, b)
     return is_subset(a, b) and is_subset(b, a)

@@ -296,16 +296,7 @@ def left_quotient(prefixes: Nfa, language: Nfa) -> Nfa:
     from its start on some string of ``prefixes`` (``bitset.post``);
     then run the DFA from all of ``S`` simultaneously, accepting when
     *every* track accepts (``bitset.run``).
-
-    Signature-memoized by the active language cache.
     """
-    cache = active_cache()
-    if cache is not None:
-        return cache.left_quotient(prefixes, language)
-    return _left_quotient_instrumented(prefixes, language)
-
-
-def _left_quotient_instrumented(prefixes: Nfa, language: Nfa) -> Nfa:
     obs.count_operation("left_quotient")
     with obs.span(
         "left_quotient",
@@ -323,15 +314,7 @@ def right_quotient(language: Nfa, suffixes: Nfa) -> Nfa:
     Construction (:func:`repro.automata.bitset.right_quotient`): the DFA
     of ``language`` itself, with a state final iff every string of
     ``suffixes`` leads from it to a final state (``bitset.pre``).
-    Signature-memoized by the active language cache.
     """
-    cache = active_cache()
-    if cache is not None:
-        return cache.right_quotient(language, suffixes)
-    return _right_quotient_instrumented(language, suffixes)
-
-
-def _right_quotient_instrumented(language: Nfa, suffixes: Nfa) -> Nfa:
     obs.count_operation("right_quotient")
     with obs.span("right_quotient", states_in=language.num_states) as sp:
         result = bitset.right_quotient(language, suffixes)

@@ -25,19 +25,26 @@ Two-tier keying:
   Signatures embed the alphabet universe, so results can never be
   confused across alphabets.
 
-Operation results are memoized under language signatures (signature
-computation itself is memoized per object and per structural digest, so
-repeated slices pay it once).  The exception is
-:func:`~repro.automata.ops.eliminate_epsilon`, which is memoized under
+What is memoized is exactly what the workloads hit: signatures (with
+the minimal machine each one yields, so :meth:`LangCache.minimize` on
+any language-equal machine is a lookup), provenance-free
+:meth:`LangCache.intersect` under the signature pair, and
+:meth:`LangCache.is_subset` verdicts (``equivalent`` is two of them).
+Signature computation itself is memoized per object and per structural
+digest, so repeated slices pay it once.  The exception to language
+keying is :meth:`LangCache.eliminate_epsilon`, which is memoized under
 the *structural* key only: the GCI procedure reads bridge-crossing
 structure off products of its output, so substituting a language-equal
 but structurally different machine could change which candidate
 combinations get enumerated.  Structural keying is exactly
-behavior-preserving.
+behavior-preserving.  Every other kernel — ``determinize``,
+``complement``, the quotients — has one uncached path: keying it would
+force a signature (a subset construction plus Hopcroft) on every new
+operand just to build the key.
 
 Scoping — the cache is **solver-scoped, not global**: a
-:class:`LangCache` is held by :class:`~repro.solver.api.RegLangSolver`
-(or created per solve from ``GciLimits.cache``) and activated for a
+:class:`LangCache` is held by :class:`~repro.solver.api.RegLangSolver`,
+by ``dprle solve`` and by the solve daemon, and activated for a
 dynamic extent with :meth:`LangCache.activate`, a context variable in
 the same style as :mod:`repro.obs`.  Nothing is shared across solvers,
 and dropping the solver drops the cache.  For state that must outlive
@@ -48,8 +55,8 @@ written through to disk, and LRU misses fall back to the store.
 
 Caveats (see ``docs/CACHING.md``):
 
-* Cached NFA and DFA results are returned as fresh copies, so callers
-  may mutate them freely; the stored machine is private to the cache.
+* Cached machines are returned as fresh copies, so callers may mutate
+  them freely; the stored machine is private to the cache.
 * Cached results are language-faithful but not *structure*- or
   *tag*-faithful: a hit may return a language-equal machine with
   different states, start/final sets, or bridge tags.  The
@@ -61,8 +68,8 @@ Caveats (see ``docs/CACHING.md``):
   start/final structure.  Signature-keyed ``intersect`` is reserved for
   purely language-level uses (share intersection in
   ``_slice_combination``, maximization caps).
-* ``is_subset``/``equivalent`` only use the signature fast path when
-  both operands' signatures are already known; otherwise the lazy
+* ``is_subset`` only uses the signature fast path when both operands'
+  signatures are already known; otherwise the lazy
   on-the-fly inclusion check runs (no forced determinization — which
   could blow up on NFAs the lazy check handles easily) and its verdict
   is memoized under structural keys.
@@ -109,14 +116,13 @@ class _Rec:
     """Per-object fingerprint record: lazily computed digests for one
     ``Nfa`` instance, guarded against mutation by ``stamp``."""
 
-    __slots__ = ("ref", "stamp", "struct", "sig", "dfa")
+    __slots__ = ("ref", "stamp", "struct", "sig")
 
     def __init__(self, nfa: "Nfa", stamp: tuple):
         self.ref = weakref_ref(nfa)
         self.stamp = stamp
         self.struct: Optional[str] = None
         self.sig: Optional[str] = None
-        self.dfa: Optional["Dfa"] = None
 
 
 def _stamp(nfa: "Nfa") -> tuple:
@@ -188,18 +194,6 @@ def _lang_digest(mdfa: "Dfa") -> str:
             ).encode()
         )
     return hasher.hexdigest()
-
-
-def _copy_dfa(dfa: "Dfa") -> "Dfa":
-    """A defensive copy sharing only immutable pieces (labels, ids)."""
-    from ..automata.dfa import Dfa
-
-    return Dfa(
-        dfa.alphabet,
-        {state: list(moves) for state, moves in dfa.transitions.items()},
-        dfa.start,
-        set(dfa.finals),
-    )
 
 
 class LangCache:
@@ -351,20 +345,11 @@ class LangCache:
         if known is not None:
             rec.sig = known
             return known, False
-        # Instrumented (not cache-consulting) entry points: the subset
-        # construction and Hopcroft refinement a signature costs are
-        # real work and stay attributed in the span trace.
-        from ..automata.dfa import _determinize_instrumented, minimize_dfa
+        from ..automata.dfa import determinize, minimize_dfa
 
         obs.count_operation("signature")
         with obs.span("signature", states_in=nfa.num_states) as sp:
-            dfa = (
-                rec.dfa
-                if rec.dfa is not None
-                else _determinize_instrumented(nfa)
-            )
-            rec.dfa = dfa
-            mdfa = minimize_dfa(dfa)
+            mdfa = minimize_dfa(determinize(nfa))
             sig = _lang_digest(mdfa)
             sp.set("states_out", mdfa.num_states)
         rec.sig = sig
@@ -397,32 +382,6 @@ class LangCache:
 
     # -- memoized operations -------------------------------------------
 
-    def determinize(self, nfa: "Nfa") -> "Dfa":
-        """Memoized subset construction (per object, then per language).
-
-        The stored DFA is private to the cache — ``Dfa`` is mutable, so
-        a caller mutating a shared instance would silently poison every
-        entry derived from it; each call returns a fresh copy.
-        """
-        from ..automata.dfa import _determinize_instrumented
-
-        rec = self._rec(nfa)
-        if rec.dfa is not None:
-            self._hit("determinize")
-            return _copy_dfa(rec.dfa)
-        if rec.sig is not None:
-            stored = self._get(("dfa", rec.sig))
-            if stored is not None:
-                self._hit("determinize")
-                rec.dfa = stored
-                return _copy_dfa(stored)
-        self._miss("determinize")
-        dfa = _determinize_instrumented(nfa)
-        rec.dfa = dfa
-        if rec.sig is not None:
-            self._put(("dfa", rec.sig), dfa)
-        return _copy_dfa(dfa)
-
     def minimize(self, nfa: "Nfa") -> "Nfa":
         """Memoized canonical minimization, keyed by language signature."""
         sig, fresh = self._signature(nfa)
@@ -437,19 +396,6 @@ class LangCache:
             stored = _minimize_nfa_instrumented(nfa)
             self._put(("min", sig), stored)
         return stored.copy()
-
-    def complement(self, nfa: "Nfa") -> "Nfa":
-        from ..automata.dfa import _complement_instrumented
-
-        sig = self.signature(nfa)
-        stored = self._get(("comp", sig))
-        if stored is not None:
-            self._hit("complement")
-            return stored.copy()
-        self._miss("complement")
-        result = _complement_instrumented(nfa)
-        self._put(("comp", sig), result.copy())
-        return result
 
     def eliminate_epsilon(self, nfa: "Nfa") -> "Nfa":
         """Memoized ε-elimination, keyed *structurally* (see module docs)."""
@@ -480,32 +426,6 @@ class LangCache:
             return stored.copy()
         self._miss("intersect")
         result, _ = product(a, b)
-        self._put(key, result.copy())
-        return result
-
-    def left_quotient(self, prefixes: "Nfa", language: "Nfa") -> "Nfa":
-        from ..automata.ops import _left_quotient_instrumented
-
-        key = ("lq", self.signature(prefixes), self.signature(language))
-        stored = self._get(key)
-        if stored is not None:
-            self._hit("left_quotient")
-            return stored.copy()
-        self._miss("left_quotient")
-        result = _left_quotient_instrumented(prefixes, language)
-        self._put(key, result.copy())
-        return result
-
-    def right_quotient(self, language: "Nfa", suffixes: "Nfa") -> "Nfa":
-        from ..automata.ops import _right_quotient_instrumented
-
-        key = ("rq", self.signature(language), self.signature(suffixes))
-        stored = self._get(key)
-        if stored is not None:
-            self._hit("right_quotient")
-            return stored.copy()
-        self._miss("right_quotient")
-        result = _right_quotient_instrumented(language, suffixes)
         self._put(key, result.copy())
         return result
 
@@ -549,36 +469,6 @@ class LangCache:
         result = counterexample(a, b) is None
         # Strings, not bools: `_get` treats the stored value None-ness
         # as presence, so encode the verdict in a always-truthy token.
-        self._put(key, "y" if result else "n")
-        return result
-
-    def equivalent(self, a: "Nfa", b: "Nfa") -> bool:
-        """Memoized language equality.
-
-        When both signatures are already known this is a canonical-form
-        comparison (equality of signatures ⟺ equality of languages);
-        otherwise the lazy bidirectional inclusion check runs — never
-        forcing a determinization — and the verdict is memoized under
-        the (commutative) structural key pair.
-        """
-        from ..automata.equivalence import counterexample
-
-        if a.alphabet != b.alphabet:
-            raise ValueError("cannot compare machines over different alphabets")
-        sig_a = self._sig_if_known(a)
-        sig_b = self._sig_if_known(b)
-        if sig_a is not None and sig_b is not None:
-            self._hit("equivalent")
-            return sig_a == sig_b
-        key = ("equiv", "struct") + tuple(
-            sorted((self.struct_key(a), self.struct_key(b)))
-        )
-        stored = self._get(key)
-        if stored is not None:
-            self._hit("equivalent")
-            return stored == "y"
-        self._miss("equivalent")
-        result = counterexample(a, b) is None and counterexample(b, a) is None
         self._put(key, "y" if result else "n")
         return result
 

@@ -23,11 +23,10 @@ What is persisted (see ``PERSISTED_OPS``):
   headline entry: re-deriving a signature costs a subset construction
   plus Hopcroft minimization, while re-deriving the structural digest
   of an incoming machine is a cheap ``O(edges)`` serialization.
-* ``min`` / ``comp`` / ``intersect`` / ``lq`` / ``rq`` — memoized
-  machines, serialized with the id-preserving
-  :func:`~repro.automata.serialize.to_dict` encoding.
-* ``subset`` / ``equiv`` — memoized inclusion/equality verdicts
-  (``"y"`` / ``"n"`` tokens, as in the in-memory table).
+* ``min`` / ``intersect`` — memoized machines, serialized with the
+  id-preserving :func:`~repro.automata.serialize.to_dict` encoding.
+* ``subset`` — memoized inclusion verdicts (``"y"`` / ``"n"`` tokens,
+  as in the in-memory table).
 
 What is deliberately **not** persisted:
 
@@ -36,9 +35,13 @@ What is deliberately **not** persisted:
   bridge-tag identity) off them; a machine decoded from disk carries
   freshly minted tag objects, so substituting it would be exactly the
   identity-sensitivity bug class ``L002`` exists to catch.
-* ``dfa`` — per-object determinization memos; they are cheap to
-  rebuild from the persisted minimal machines and are dominated by the
-  per-object fast path anyway.
+
+Earlier releases also wrote ``comp``, ``lq``, ``rq`` and ``equiv``
+entries; the cache no longer memoizes complements, quotients or
+equivalence verdicts of its own, so those keys are never looked up
+again.  A store that still holds them is read unchanged — they are
+dead rows, not a format change — so the schema header stays
+``dprle.store/1``.
 
 Format and versioning: one sqlite database with a ``meta`` table whose
 ``schema`` row carries the version header (``dprle.store/1``) and an
@@ -84,12 +87,8 @@ StoreValue = Union[str, Nfa]
 PERSISTED_OPS: dict[str, str] = {
     "sig": "str",
     "subset": "str",
-    "equiv": "str",
     "min": "nfa",
-    "comp": "nfa",
     "intersect": "nfa",
-    "lq": "nfa",
-    "rq": "nfa",
 }
 
 

@@ -1,10 +1,10 @@
 """L002 — cache identity: no signature-keyed ops in identity-sensitive
 regions.
 
-:class:`repro.cache.LangCache` keys ``determinize`` / ``minimize`` /
-``complement`` / ``intersect`` / the quotients / ``is_subset`` /
-``equivalent`` by canonical *language* signature: a hit may substitute a
-language-equal machine with completely different state/edge structure.
+:class:`repro.cache.LangCache` keys ``minimize`` / ``intersect`` /
+``is_subset`` (and so ``equivalent``, two inclusions) by canonical
+*language* signature: a hit may substitute a language-equal machine
+with completely different state/edge structure.
 That is sound wherever only the language is consumed — and unsound in
 GCI stage 1, where the start/final structure of leaf machines determines
 the stage-4 bridge images.  PR 2 shipped exactly this bug: routing
@@ -16,7 +16,9 @@ The rule is marker-driven: a function containing a
 region, and every call to a signature-keyed operation inside it is
 flagged.  The sanctioned alternative — the uncached, structure-faithful
 ``ops.product`` — passes clean, as do the struct-keyed
-``eliminate_epsilon`` and plain machine methods (``trim`` etc.).
+``eliminate_epsilon``, the kernels that never consult the cache
+(``determinize``, ``complement``, the quotients, ``minimize_dfa``) and
+plain machine methods (``trim`` etc.).
 """
 
 from __future__ import annotations
@@ -31,19 +33,13 @@ from . import Rule, register_rule
 
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
-#: Call targets that resolve (directly or via the cache-instrumented
-#: wrappers) to signature-keyed operations.
+#: Call targets that consult the language cache under a signature key:
+#: ``LangCache.minimize`` and its kernel ``minimize_nfa``, ``intersect``,
+#: ``is_subset`` and ``equivalent`` (which is two ``is_subset`` calls).
 SIGNATURE_KEYED = frozenset({
-    "determinize",
-    "determinize_nfa",
     "minimize",
     "minimize_nfa",
-    "minimize_dfa",
-    "complement",
-    "complemented",
     "intersect",
-    "left_quotient",
-    "right_quotient",
     "is_subset",
     "equivalent",
 })

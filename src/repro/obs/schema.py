@@ -84,15 +84,10 @@ OPERATIONS: frozenset[str] = frozenset({
 #: Operations the language cache memoizes; each mints
 #: ``cache.hit.<op>`` and ``cache.miss.<op>``.
 CACHE_OPS: frozenset[str] = frozenset({
-    "determinize",
     "minimize",
-    "complement",
     "eliminate_epsilon",
     "intersect",
-    "left_quotient",
-    "right_quotient",
     "is_subset",
-    "equivalent",
 })
 
 #: Span names (``obs.span``/``obs.traced``); each mints ``span.<name>``

@@ -34,8 +34,6 @@ class ServerConfig:
     #: Default worker fan-out for solves (``repro.parallel``): None
     #: defers to ``DPRLE_WORKERS``, 0 forces serial.
     workers: Optional[int] = None
-    #: Max entries in the shared in-memory language cache.
-    cache_entries: int = 4096
     #: How long the batcher waits after the first queued job for
     #: compatible company, in seconds.  0 disables coalescing.
     batch_window: float = 0.005

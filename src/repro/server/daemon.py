@@ -48,7 +48,7 @@ from contextlib import ExitStack
 from typing import Any, Optional
 
 from .. import obs
-from ..cache import CacheLimits, LangCache
+from ..cache import LangCache
 from ..cache.store import SignatureStore
 from .batch import Batcher, DeadlineExceeded, Job
 from .config import ServerConfig
@@ -128,9 +128,7 @@ class SolveDaemon:
                 if config.cache_db is not None:
                     store = SignatureStore(config.cache_db)
                     stack.callback(store.close)
-                cache = LangCache(
-                    CacheLimits(max_entries=config.cache_entries), store=store
-                )
+                cache = LangCache(store=store)
                 self._store = store
                 self._cache = cache
                 if config.journal is not None:

@@ -66,7 +66,7 @@ from ..automata import bitset, ops
 from ..automata.dfa import determinize, minimize_nfa
 from ..automata.equivalence import equivalent, is_subset
 from ..automata.nfa import BridgeTag, Nfa
-from ..cache import CacheLimits, active_cache
+from ..cache import active_cache
 from ..constraints.depgraph import DepGraph, Node
 
 __all__ = ["GciLimits", "SolveLimitExceeded", "solve_group", "group_solutions"]
@@ -112,12 +112,6 @@ class GciLimits:
     available — the task encode/decode would cost more than the
     enumeration.
 
-    ``cache`` requests a solver-scoped language cache
-    (:class:`repro.cache.LangCache`) for the solve: the worklist solver
-    activates one with these limits when no cache is already active.
-    ``None`` leaves caching to the caller (:class:`RegLangSolver`
-    installs its own).
-
     ``precheck`` runs the :mod:`repro.check` abstract domains over the
     graph before solving and prunes what they prove empty — basic
     variables short-circuit to ∅ without any products, and a group
@@ -137,7 +131,6 @@ class GciLimits:
     prune_subsumed: bool = True
     maximize: bool = True
     minimize_leaves: bool = False
-    cache: Optional[CacheLimits] = None
     workers: Optional[int] = None
     precheck: bool = False
 

@@ -29,7 +29,6 @@ from ..automata import ops
 from ..automata.dfa import minimize_nfa
 from ..automata.equivalence import is_subset
 from ..automata.nfa import Nfa
-from ..cache import LangCache, active_cache
 from ..constraints.depgraph import DepGraph, Node, build_graph
 from ..constraints.terms import Problem
 from .assignments import Assignment, SolutionSet
@@ -84,29 +83,8 @@ def solve_graph(
     limits: Optional[GciLimits] = None,
     only: Optional[list[str]] = None,
 ) -> SolutionSet:
-    """Solve a pre-built dependency graph (Fig. 7's entry point).
-
-    When ``limits.cache`` requests a language cache and none is active
-    yet, one is activated for the duration of this solve (solver-scoped
-    memoization of determinize/minimize/intersect/inclusion work).
-    """
+    """Solve a pre-built dependency graph (Fig. 7's entry point)."""
     limits = limits or GciLimits()
-    if limits.cache is not None and active_cache() is None:
-        with LangCache(limits.cache).activate():
-            return _solve_graph(
-                graph, variable_names, query, max_solutions, limits, only
-            )
-    return _solve_graph(graph, variable_names, query, max_solutions, limits, only)
-
-
-def _solve_graph(
-    graph: DepGraph,
-    variable_names: list[str],
-    query: Optional[list[str]],
-    max_solutions: Optional[int],
-    limits: GciLimits,
-    only: Optional[list[str]],
-) -> SolutionSet:
     query_names = list(query) if query is not None else list(variable_names)
     wanted: Optional[set[str]] = set(only) if only is not None else None
 

@@ -31,7 +31,9 @@ equivalent.  Three subcommands:
 
 ``solve``, ``check``, ``analyze``, and ``graph`` all take the same
 observability flags (``--stats-json``, ``--trace``, ``--journal``,
-cache and worker knobs) — see :func:`_add_observability_flags`.
+the worker knob) — see :func:`_add_observability_flags`.  Only
+``solve`` runs under a language cache; the others run at library
+defaults.
 
 Examples::
 
@@ -58,7 +60,7 @@ from .. import obs
 from ..analysis.analyzer import analyze_source
 from ..analysis.attacks import ALL_ATTACKS, CONTAINS_QUOTE
 from ..analysis.corpus import build_corpus
-from ..cache import CacheLimits, LangCache
+from ..cache import LangCache
 from ..constraints.dsl import DslError, parse_problem
 from ..solver.gci import GciLimits, SolveLimitExceeded
 from ..solver.worklist import solve
@@ -82,14 +84,6 @@ def _add_observability_flags(subparser: argparse.ArgumentParser) -> None:
         "progress, per-solve trace IDs) to PATH while running",
     )
     subparser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the language-signature cache (docs/CACHING.md)",
-    )
-    subparser.add_argument(
-        "--cache-entries", type=int, default=4096, metavar="N",
-        help="max entries in the language cache (default %(default)s)",
-    )
-    subparser.add_argument(
         "--workers", type=int, default=None, metavar="N",
         help="fan the GCI bridge-combination enumeration out across N "
         "worker processes (docs/PARALLELISM.md); 0 forces serial, "
@@ -107,8 +101,8 @@ def _cli_limits(args: argparse.Namespace) -> Optional[GciLimits]:
 
 
 def _run_observed(args: argparse.Namespace, body) -> int:
-    """Run a subcommand body under the language cache, with whatever
-    telemetry sinks the flags request (collector and/or journal).
+    """Run a subcommand body with whatever telemetry sinks the flags
+    request (collector and/or journal).
 
     This is the one flag-wiring point shared by ``solve``, ``check``,
     ``analyze``, and ``graph`` — the flags themselves are declared once
@@ -123,13 +117,9 @@ def _run_observed(args: argparse.Namespace, body) -> int:
             print(f"dprle: {error.code}: {error}", file=sys.stderr)
             return 2
 
-    cache = LangCache(
-        CacheLimits(enabled=not args.no_cache, max_entries=args.cache_entries)
-    )
     want_collect = args.stats_json is not None or args.trace
     if not want_collect and args.journal is None:
-        with cache.activate():
-            return run()
+        return run()
     collector = None
     with ExitStack() as stack:
         if args.journal is not None:
@@ -143,7 +133,6 @@ def _run_observed(args: argparse.Namespace, body) -> int:
                 return 2
         if want_collect:
             collector = stack.enter_context(obs.collect())
-        stack.enter_context(cache.activate())
         code = run()
     if args.journal is not None:
         print(f"wrote journal to {args.journal}", file=sys.stderr)
@@ -289,11 +278,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         "--workers", type=int, default=None, metavar="N",
         help="default worker fan-out for solves (docs/PARALLELISM.md); "
         "0 forces serial, default honours DPRLE_WORKERS",
-    )
-    serve_cmd.add_argument(
-        "--cache-entries", type=int, default=4096, metavar="N",
-        help="max entries in the shared in-memory language cache "
-        "(default %(default)s)",
     )
     serve_cmd.add_argument(
         "--batch-window-ms", type=float, default=5.0, metavar="MS",
@@ -526,7 +510,15 @@ def _run_solve(args: argparse.Namespace) -> int:
     except DslError as error:
         _print_dsl_error(args.file, error)
         return 2
-    return _run_observed(args, lambda: _solve_and_print(args, problem))
+
+    def body() -> int:
+        # Enumerating all solutions and printing each one minimized is
+        # the one front end the language cache pays for: dedupe keys,
+        # share intersections, minimal machines (docs/CACHING.md).
+        with LangCache().activate():
+            return _solve_and_print(args, problem)
+
+    return _run_observed(args, body)
 
 
 def _solve_and_print(args: argparse.Namespace, problem) -> int:
@@ -659,7 +651,6 @@ def _run_serve(args: argparse.Namespace) -> int:
             port=args.port,
             cache_db=args.cache_db,
             workers=args.workers,
-            cache_entries=args.cache_entries,
             batch_window=max(args.batch_window_ms, 0.0) / 1000.0,
             max_batch=args.max_batch,
             default_deadline=(

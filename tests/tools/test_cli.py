@@ -5,6 +5,7 @@ import pathlib
 
 import pytest
 
+from repro.analysis import VULN_SPECS, make_vulnerable_source
 from repro.tools.cli import main
 
 from ..helpers import OVER_LIMIT_SOURCE
@@ -280,6 +281,18 @@ class TestAnalyze:
         path.write_text("<?php $a = 'hello'; echo $a;")
         assert main(["analyze", str(path)]) == 0
         assert "no sink queries" in capsys.readouterr().out
+
+    def test_runs_without_language_cache(self, tmp_path, capsys):
+        # Like the library's analyze_source, `dprle analyze` runs at
+        # library defaults: no cache, so no signature is ever computed.
+        spec = next(s for s in VULN_SPECS if s.name == "secure")
+        path = tmp_path / "secure.php"
+        path.write_text(make_vulnerable_source(spec, 0.1))
+        out = tmp_path / "stats.json"
+        assert main(["analyze", str(path), "--stats-json", str(out)]) == 1
+        counters = json.loads(out.read_text())["metrics"]["counters"]
+        assert counters.get("op.signature", 0) == 0
+        assert not [key for key in counters if key.startswith("cache.hit.")]
 
 
 class TestCorpus:
