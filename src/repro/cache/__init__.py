@@ -67,7 +67,7 @@ Caveats (see ``docs/CACHING.md``):
   the bridge images enumerated in stage 4 are read off those machines'
   start/final structure.  Signature-keyed ``intersect`` is reserved for
   purely language-level uses (share intersection in
-  ``_slice_combination``, maximization caps).
+  ``_share_intersection``, maximization caps).
 * ``is_subset`` only uses the signature fast path when both operands'
   signatures are already known; otherwise the lazy
   on-the-fly inclusion check runs (no forced determinization — which

@@ -26,9 +26,9 @@ Estimation model (all quantities are upper bounds):
 
 The predicted group total is the product of the per-tag bridge
 estimates, exactly mirroring ``_prepare_group``'s
-``total_combinations`` computation.  Trimming and the stage-4.5
-factoring only ever *shrink* the real spaces, so the estimate is a
-sound ceiling on ``gci.combinations_total``.
+``total_combinations`` computation.  Trimming only ever *shrinks* the
+real spaces, so the estimate is a sound ceiling on
+``gci.combinations_total``.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ computed :class:`AbstractLang` over-approximates the set of strings
 ``n`` can carry in *any* assignment that satisfies all subset
 constraints while keeping every variable non-empty — exactly the
 candidate space the GCI enumeration explores (viable combinations
-never map a variable to ∅, see ``gci._slice_combination``).  A node
+never map a variable to ∅, see ``gci._run_checks``).  A node
 that is structurally non-empty under that assumption but whose
 abstract value is empty therefore *proves* the instance has no
 satisfying assignments at all, without determinizing anything.

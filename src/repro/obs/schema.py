@@ -102,7 +102,6 @@ SPANS: frozenset[str] = frozenset({
     "basic_constraints",
     "worklist_iteration",
     "ci",
-    "gci_factor",
     "gci_combination",
     "gci_maximize",
     "determinize",
@@ -145,8 +144,8 @@ COUNTERS: frozenset[str] = frozenset(
         "check.pruned_nodes",
         "check.proved_unsat",
         "gci.combinations_total",
-        "gci.combinations_factored",
         "gci.combinations_enumerated",
+        "gci.combinations_pruned",
         "gci.combinations_skipped",
         "gci.pair_memo_hits",
         "gci.pair_memo_misses",

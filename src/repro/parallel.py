@@ -60,7 +60,7 @@ __all__ = [
     "shutdown",
 ]
 
-#: Groups with fewer walkable combinations than this are enumerated
+#: Groups with fewer bridge combinations than this are enumerated
 #: in-process even when workers are configured: the task encode/decode
 #: would cost more than the enumeration.
 MIN_PARALLEL_COMBINATIONS = 64
@@ -176,7 +176,6 @@ def encode_group(prepared, limits) -> dict[str, Any]:
         "var_nodes": [_enc_node(n) for n in prepared.var_nodes],
         "leaves": [_enc_node(n) for n in prepared.leaves],
         "total_combinations": prepared.total_combinations,
-        "factored_combinations": prepared.factored_combinations,
         "limits": {"maximize": limits.maximize},
         "collect": bool(obs.active_sinks()),
     }
@@ -248,7 +247,6 @@ def _decode_payload(payload: dict[str, Any]) -> _WorkerState:
         var_nodes=[Node(*n) for n in payload["var_nodes"]],
         leaves={Node(*n) for n in payload["leaves"]},
         total_combinations=payload["total_combinations"],
-        factored_combinations=payload["factored_combinations"],
     )
     limits = gci.GciLimits(
         maximize=payload["limits"]["maximize"],
@@ -355,7 +353,7 @@ def parallel_candidates(
     """
     payload = encode_group(prepared, limits)
     pool = _get_pool(workers)
-    ranges = _chunk_ranges(prepared.factored_combinations, workers)
+    ranges = _chunk_ranges(prepared.total_combinations, workers)
     tasks = [
         (
             pool.submit(_run_chunk, payload, start, stop),
@@ -408,7 +406,7 @@ def _drain(
                 chunk_seconds.append(busy)
                 obs.absorb(snapshot)
                 obs.progress(
-                    "gci_enumeration", walked, prepared.factored_combinations
+                    "gci_enumeration", walked, prepared.total_combinations
                 )
             for index, key, docs in results:
                 solution = {
@@ -426,7 +424,7 @@ def _drain(
                 # the cost of not blocking on a cancelled enumeration.
                 walked += stop - start
         obs.increment_metric("gci.combinations_enumerated", walked)
-        skipped = prepared.factored_combinations - walked
+        skipped = prepared.total_combinations - walked
         if skipped > 0:
             obs.increment_metric("gci.combinations_skipped", skipped)
         if chunk_seconds:

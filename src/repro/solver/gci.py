@@ -43,7 +43,10 @@ Three hygiene measures keep the output consistent with the paper's
 The combination enumeration (stage 5) is one producer feeding one
 selector.  The producer (:func:`_candidates`) walks the space in-process
 or fans it out across worker processes (:mod:`repro.parallel`) when
-``GciLimits.workers`` asks for it; both run :func:`_iter_candidates`.
+``GciLimits.workers`` asks for it; both run :func:`_iter_candidates`, a
+depth-first walk over the bridge tags that checks each occurrence slice
+and each shared variable's intersection as soon as the tags it depends
+on are fixed, and skips the whole subtree below a prefix that fails one.
 Candidate order is canonical (mixed-radix combination index, last tag
 fastest — exactly ``itertools.product`` order), so results are
 identical no matter how the space is chunked.  The selector
@@ -57,7 +60,6 @@ bridge-ε choices, exactly one choice per concatenation in the group.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
 
@@ -108,7 +110,7 @@ class GciLimits:
     pool (:mod:`repro.parallel`): ``0`` forces serial, ``None`` defers
     to the ``DPRLE_WORKERS`` environment variable (default serial).
     Groups with fewer than ``repro.parallel.MIN_PARALLEL_COMBINATIONS``
-    walkable combinations are solved in-process even when workers are
+    bridge combinations are solved in-process even when workers are
     available — the task encode/decode would cost more than the
     enumeration.
 
@@ -143,12 +145,20 @@ class _Occurrence:
     combination: ``("machine",)`` means the top machine's own
     starts/finals; ``("edge-src", tag)`` / ``("edge-dst", tag)`` mean
     the source/target state of the chosen ε-image for ``tag``.
+    ``start_tag``/``final_tag`` are the selectors' tags, ``None`` for a
+    machine boundary.
     """
 
     node: Node
     top: Node
     start_of: tuple
     final_of: tuple
+    start_tag: Optional[BridgeTag] = field(init=False)
+    final_tag: Optional[BridgeTag] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.start_tag = None if self.start_of[0] == "machine" else self.start_of[1]
+        self.final_tag = None if self.final_of[0] == "machine" else self.final_of[1]
 
 
 def solve_group(
@@ -188,16 +198,15 @@ def group_solutions(
 
 def _emit_group_counters(prepared: "_PreparedGroup") -> None:
     """The per-group combination accounting.  The producer adds
-    enumerated/skipped; the identity the telemetry tests rely on::
+    enumerated/skipped (and ``gci.combinations_pruned``, the enumerated
+    combinations settled by a failing prefix); the identity the
+    telemetry tests rely on::
 
-        total = factored + enumerated + skipped
+        total = enumerated + skipped,  pruned <= enumerated
     """
     obs.increment_metric(
         "gci.combinations_total", prepared.total_combinations
     )
-    factored_out = prepared.total_combinations - prepared.factored_combinations
-    if factored_out:
-        obs.increment_metric("gci.combinations_factored", factored_out)
 
 
 @dataclass
@@ -205,10 +214,7 @@ class _PreparedGroup:
     """Stages 1-4 of the GCI procedure: everything the combination
     enumeration (stage 5) needs, built once per group.
 
-    ``total_combinations`` is the full bridge-choice product;
-    ``factored_combinations`` is what is left after the combination-
-    space factoring dropped edges that can appear in no viable
-    combination (so only the factored space is ever walked).
+    ``total_combinations`` is the full bridge-choice product.
     ``slice_memo`` memoizes per-occurrence slices across combinations —
     an occurrence's slice depends on at most two tags, so the memo
     collapses the per-combination restriction of the top machine
@@ -218,10 +224,14 @@ class _PreparedGroup:
     one of its occurrences), so a decoded worker copy derives the same
     sets; a slice is walked with its top's set as the barrier and so
     stays inside its own region (see :func:`_occurrence_slice`).
-    ``pair_memo``
-    memoizes the pairwise share intersections (trimmed, ``None`` when
-    empty) keyed by the two occurrences' boundary keys; factoring fills
-    it and :func:`_slice_combination` reads it back.
+    ``pair_memo`` memoizes the share intersections (trimmed, ``None``
+    when empty) keyed by the tuple of the variable's slice keys.
+
+    ``schedule`` is the stage-5 walk's check schedule, derived like
+    ``barriers``: entry ``k`` lists the occurrences whose boundary tags
+    are all among the first ``k`` tags of ``tag_order``, and the
+    variables whose occurrences are then all sliced.
+    ``var_occurrences`` lists each variable's occurrence indices.
 
     ``residuals`` holds the residual DFA of each constraint constant
     (parallel to ``constraint_specs``), built by :func:`_residuals` the
@@ -239,20 +249,29 @@ class _PreparedGroup:
     var_nodes: list[Node]
     leaves: set[Node]
     total_combinations: int
-    factored_combinations: int
     slice_memo: dict[tuple, Optional[Nfa]] = field(default_factory=dict)
     pair_memo: dict[tuple, Optional[Nfa]] = field(default_factory=dict)
     residuals: Optional[list[bitset.Residual]] = None
     quotient_memo: dict[tuple, Any] = field(default_factory=dict)
     barriers: dict[Node, frozenset[BridgeTag]] = field(init=False)
+    schedule: list[tuple[list[int], list[Node]]] = field(init=False)
+    var_occurrences: dict[Node, list[int]] = field(init=False)
 
     def __post_init__(self) -> None:
+        position = {tag: pos for pos, tag in enumerate(self.tag_order)}
         barriers: dict[Node, set[BridgeTag]] = {}
-        for occ in self.occurrences:
-            own = barriers.setdefault(occ.top, set())
-            for boundary in (occ.start_of, occ.final_of):
-                if boundary[0] != "machine":
-                    own.add(boundary[1])
+        self.schedule = [([], []) for _ in range(len(self.tag_order) + 1)]
+        levels = []
+        for occ_index, occ in enumerate(self.occurrences):
+            tags = [t for t in (occ.start_tag, occ.final_tag) if t is not None]
+            barriers.setdefault(occ.top, set()).update(tags)
+            levels.append(max((position[t] + 1 for t in tags), default=0))
+            self.schedule[levels[-1]][0].append(occ_index)
+        self.var_occurrences = {}
+        for var in self.var_nodes:
+            occs = [i for i, occ in enumerate(self.occurrences) if occ.node == var]
+            self.var_occurrences[var] = occs
+            self.schedule[max(levels[i] for i in occs)][1].append(var)
         self.barriers = {top: frozenset(own) for top, own in barriers.items()}
 
 
@@ -272,7 +291,7 @@ def _candidates(
     """
     from ..parallel import parallel_candidates, resolve_workers
 
-    workers = resolve_workers(limits.workers, prepared.factored_combinations)
+    workers = resolve_workers(limits.workers, prepared.total_combinations)
     if workers:
         yield from parallel_candidates(prepared, limits, workers)
         return
@@ -284,7 +303,7 @@ def _candidates(
             yield index, None, solution
     finally:
         obs.increment_metric("gci.combinations_enumerated", progress[0])
-        skipped = prepared.factored_combinations - progress[0]
+        skipped = prepared.total_combinations - progress[0]
         if skipped > 0:
             obs.increment_metric("gci.combinations_skipped", skipped)
 
@@ -300,49 +319,109 @@ def _iter_candidates(
     canonical index in ``[start, stop)``.
 
     The canonical index enumerates ``itertools.product`` order over the
-    factored edge lists (last tag in ``tag_order`` fastest); workers
-    and the serial path share this function, so a combination's index —
-    and therefore the output order — is identical regardless of how the
-    space is chunked.  ``progress``, when given, is a one-element list
-    incremented per combination walked (work accounting survives an
-    early ``close()``).
+    edge lists (last tag in ``tag_order`` fastest); workers and the
+    serial path share this function, so a combination's index — and
+    therefore the output order — is identical regardless of how the
+    space is chunked.
+
+    The walk is depth-first in that order.  Fixing the first ``k`` tags
+    runs the checks of ``prepared.schedule[k]`` (:func:`_run_checks`);
+    an empty slice or intersection settles the whole subtree below the
+    prefix at once (``gci.combinations_pruned``), and only subtrees that
+    overlap ``[start, stop)`` are entered.  Changing a tag re-runs only
+    the checks that depend on it.  Each settlement step — a leaf or a
+    cut prefix — is one ``gci_combination`` span.  ``progress``, when
+    given, is a one-element list incremented by the combinations each
+    step settles (work accounting survives an early ``close()``).
     """
-    edge_lists = [prepared.edges_by_tag[tag] for tag in prepared.tag_order]
+    tag_order = prepared.tag_order
+    edge_lists = [prepared.edges_by_tag[tag] for tag in tag_order]
     radices = [len(edges) for edges in edge_lists]
-    total = 1
-    for radix in radices:
-        total *= radix
-    stop = total if stop is None else min(stop, total)
+    depth = len(radices)
+    # spans[k]: the combinations below one prefix of k fixed tags.
+    spans = [1] * (depth + 1)
+    for pos in range(depth - 1, -1, -1):
+        spans[pos] = spans[pos + 1] * radices[pos]
+    stop = spans[0] if stop is None else min(stop, spans[0])
     if start >= stop:
         return
     if limits.maximize:
         _residuals(prepared)
     digits = _digits_at(start, radices)
-    for index in range(start, stop):
-        if progress is not None:
-            # Serial path: heartbeat against the group's walkable space
-            # (the parallel path reports per-chunk from _drain instead).
-            progress[0] += 1
-            obs.progress(
-                "gci_enumeration", progress[0], prepared.factored_combinations
-            )
+    chosen = {tag: edge_lists[pos][digits[pos]] for pos, tag in enumerate(tag_order)}
+    sliced: dict[int, tuple[tuple, Nfa]] = {}
+    values: dict[Node, Nfa] = {}
+    index, level = start, 0
+    while True:
         with obs.span("gci_combination") as sp:
-            chosen = {
-                tag: edge_lists[pos][digits[pos]]
-                for pos, tag in enumerate(prepared.tag_order)
-            }
-            solution = _slice_combination(prepared, chosen)
-            if solution is not None and limits.maximize:
-                with obs.span("gci_maximize"):
-                    solution = _maximize_solution(prepared, solution)
+            cut = _run_checks(prepared, chosen, level, sliced, values)
+            solution = None
+            if cut is None:
+                # Memoized machines are shared across combinations; the
+                # solution must own its machines.
+                solution = {var: values[var].copy() for var in prepared.var_nodes}
+                if limits.maximize:
+                    with obs.span("gci_maximize"):
+                        solution = _maximize_solution(prepared, solution)
             sp.set("viable", solution is not None)
+        settled = depth if cut is None else cut
+        end = min((index // spans[settled] + 1) * spans[settled], stop)
+        if cut is not None:
+            obs.increment_metric("gci.combinations_pruned", end - index)
+        if progress is not None:
+            # Serial path: heartbeat against the group's whole space
+            # (the parallel path reports per-chunk from _drain instead).
+            progress[0] += end - index
+            obs.progress("gci_enumeration", progress[0], prepared.total_combinations)
         if solution is not None:
             yield index, solution
-        for pos in range(len(digits) - 1, -1, -1):
-            digits[pos] += 1
-            if digits[pos] < radices[pos]:
-                break
-            digits[pos] = 0
+        if end >= stop:
+            return
+        index = end
+        following = _digits_at(index, radices)
+        changed = next(pos for pos in range(depth) if following[pos] != digits[pos])
+        for pos in range(changed, depth):
+            chosen[tag_order[pos]] = edge_lists[pos][following[pos]]
+        digits, level = following, changed + 1
+
+
+def _run_checks(
+    prepared: "_PreparedGroup",
+    chosen: dict[BridgeTag, tuple[int, int]],
+    level: int,
+    sliced: dict[int, tuple[tuple, Nfa]],
+    values: dict[Node, Nfa],
+) -> Optional[int]:
+    """Run the schedule's checks from ``level`` on, under ``chosen``.
+
+    Each occurrence's slice-memo key and slice land in ``sliced`` and
+    each variable's language (its one slice, or the intersection of its
+    slices) in ``values``; entries of lower levels are left as they
+    are.  Returns the first level whose check came out empty, or
+    ``None`` when every check passed.
+    """
+    for k in range(level, len(prepared.schedule)):
+        occ_indices, variables = prepared.schedule[k]
+        for occ_index in occ_indices:
+            occ = prepared.occurrences[occ_index]
+            # chosen.get(None) is None: a machine boundary.
+            key = (occ_index, chosen.get(occ.start_tag), chosen.get(occ.final_tag))
+            piece = _occurrence_slice(prepared, *key)
+            if piece is None:
+                return k
+            sliced[occ_index] = (key, piece)
+        for var in variables:
+            occs = prepared.var_occurrences[var]
+            if len(occs) == 1:
+                meet = sliced[occs[0]][1]
+            else:
+                meet = _share_intersection(
+                    prepared, tuple(sliced[occ][0] for occ in occs)
+                )
+            if meet is None:
+                return k
+            values[var] = meet
+    return None
 
 
 def _digits_at(index: int, radices: list[int]) -> list[int]:
@@ -507,9 +586,7 @@ def _member_is_safe(
 
 
 def _occ_adjacent(occ: _Occurrence, tag: BridgeTag) -> bool:
-    return (occ.start_of[0] != "machine" and occ.start_of[1] is tag) or (
-        occ.final_of[0] != "machine" and occ.final_of[1] is tag
-    )
+    return occ.start_tag is tag or occ.final_tag is tag
 
 
 def _occ_blocks(
@@ -524,8 +601,7 @@ def _occ_blocks(
     ``tag`` as a subsumer of ``solution``?  True iff the member's
     language for the occurrence's variable escapes the slice for every
     completion of the occurrence's other boundary."""
-    start_tag = occ.start_of[1] if occ.start_of[0] != "machine" else None
-    final_tag = occ.final_of[1] if occ.final_of[0] != "machine" else None
+    start_tag, final_tag = occ.start_tag, occ.final_tag
     if start_tag is tag and final_tag is tag:
         boundaries = [(alt, alt)]
     elif start_tag is tag:
@@ -663,22 +739,6 @@ def _prepare_group(
         var_nodes=var_nodes,
         leaves=leaves,
         total_combinations=total_combinations,
-        factored_combinations=total_combinations,
-    )
-
-    # -- Stage 4.5: combination-space factoring.  A bridge edge whose
-    # slice is empty for one of its occurrences under every completion,
-    # or whose slice misses every partner slice of another occurrence
-    # of the same (shared) variable, can appear in no viable
-    # combination; dropping it shrinks the product that stage 5 walks.
-    # The slices and pairwise intersections computed here seed the
-    # memos the enumeration reuses.
-    with obs.span("gci_factor", tags=len(tag_order)):
-        factorable = _factor_edges(prepared)
-    if not factorable:
-        return None  # some tag lost all its edges: unrealizable
-    prepared.factored_combinations = math.prod(
-        len(edges_by_tag[tag]) for tag in tag_order
     )
 
     # Flattened leaf sequences per constrained temp, for maximization:
@@ -697,172 +757,34 @@ def _prepare_group(
     return prepared
 
 
-def _factor_edges(prepared: _PreparedGroup) -> bool:
-    """Drop bridge edges that admit no viable combination; fixpoint.
-
-    Two per-edge tests, neither needing a full product walk:
-
-    * *Boundary viability* — the occurrence's slice must be non-empty
-      for at least one completion of its other boundary.  For groups
-      built by :func:`_prepare_group` this is a defensive no-op: stage
-      4 keeps only live edges, and a live edge's target always reaches
-      the finals through *some* completing edge, so one completion is
-      always non-empty.  It guards hand-assembled groups.
-    * *Share viability* — a variable occurring in several
-      concatenations is assigned the *intersection* of its slices, so
-      an edge whose slice has an empty intersection with every partner
-      slice of some other occurrence of the same variable is dead.
-      This is a language check, not a reachability check, and it is
-      what actually fires in practice (e.g. a shared middle variable
-      squeezed between an ``a``-only and a ``b``-only neighbour).  The
-      pairwise intersections land in ``pair_memo``, where
-      :func:`_slice_combination` reuses them, so factoring fronts
-      enumeration work instead of duplicating it.
-
-    Removing an edge can strand edges of a neighbouring tag (their
-    only non-empty partners are gone), hence the fixpoint loop.
-    Returns False when a tag loses every edge (the group is
-    unrealizable).
-    """
-    occurrences = prepared.occurrences
-    edges_by_tag = prepared.edges_by_tag
-    # Single-tagged-boundary occurrences of each shared variable: the
-    # slice is determined by one edge choice, so the pairwise check is
-    # |edges| x |edges| at worst (and early-exits per edge).  Doubly
-    # tagged occurrences would multiply completions; they are left to
-    # the per-combination check.
-    shares: dict[Node, list[tuple[int, BridgeTag, str]]] = {}
-    for occ_index, occ in enumerate(occurrences):
-        if not occ.node.is_var:
-            continue
-        start_tag = occ.start_of[1] if occ.start_of[0] != "machine" else None
-        final_tag = occ.final_of[1] if occ.final_of[0] != "machine" else None
-        if (start_tag is None) == (final_tag is None):
-            continue
-        if start_tag is not None:
-            shares.setdefault(occ.node, []).append(
-                (occ_index, start_tag, "start")
-            )
-        else:
-            shares.setdefault(occ.node, []).append(
-                (occ_index, final_tag, "final")
-            )
-
-    changed = True
-    while changed:
-        changed = False
-        for occ_index, occ in enumerate(occurrences):
-            start_tag = occ.start_of[1] if occ.start_of[0] != "machine" else None
-            final_tag = occ.final_of[1] if occ.final_of[0] != "machine" else None
-            if start_tag is None and final_tag is None:
-                continue
-
-            def viable(start_edge, final_edge) -> bool:
-                return (
-                    _occurrence_slice(prepared, occ_index, start_edge, final_edge)
-                    is not None
-                )
-
-            if start_tag is not None and start_tag is final_tag:
-                kept = [e for e in edges_by_tag[start_tag] if viable(e, e)]
-                if len(kept) != len(edges_by_tag[start_tag]):
-                    edges_by_tag[start_tag] = kept
-                    changed = True
-                    if not kept:
-                        return False
-                continue
-            if start_tag is not None:
-                completions = (
-                    edges_by_tag[final_tag]
-                    if final_tag is not None
-                    else [None]
-                )
-                kept = [
-                    e
-                    for e in edges_by_tag[start_tag]
-                    if any(viable(e, other) for other in completions)
-                ]
-                if len(kept) != len(edges_by_tag[start_tag]):
-                    edges_by_tag[start_tag] = kept
-                    changed = True
-                    if not kept:
-                        return False
-            if final_tag is not None:
-                completions = (
-                    edges_by_tag[start_tag]
-                    if start_tag is not None
-                    else [None]
-                )
-                kept = [
-                    e
-                    for e in edges_by_tag[final_tag]
-                    if any(viable(other, e) for other in completions)
-                ]
-                if len(kept) != len(edges_by_tag[final_tag]):
-                    edges_by_tag[final_tag] = kept
-                    changed = True
-                    if not kept:
-                        return False
-
-        for node, occs in shares.items():
-            if len(occs) < 2:
-                continue
-            for i1, tag1, side1 in occs:
-                def key_of(i, side, edge):
-                    return (i, edge, None) if side == "start" else (i, None, edge)
-
-                def partnered(edge) -> bool:
-                    key1 = key_of(i1, side1, edge)
-                    for i2, tag2, side2 in occs:
-                        if i2 == i1:
-                            continue
-                        # A tag shared by both occurrences pins both
-                        # boundaries to the *same* chosen edge.
-                        partners = [edge] if tag2 is tag1 else edges_by_tag[tag2]
-                        if not any(
-                            _share_intersection(
-                                prepared, key1, key_of(i2, side2, partner)
-                            )
-                            is not None
-                            for partner in partners
-                        ):
-                            return False
-                    return True
-
-                kept = [e for e in edges_by_tag[tag1] if partnered(e)]
-                if len(kept) != len(edges_by_tag[tag1]):
-                    edges_by_tag[tag1] = kept
-                    changed = True
-                    if not kept:
-                        return False
-    return True
-
-
 def _share_intersection(
-    prepared: _PreparedGroup, key1: tuple, key2: tuple
+    prepared: _PreparedGroup, keys: tuple[tuple, ...]
 ) -> Optional[Nfa]:
-    """Trimmed intersection of two occurrence slices, memoized.
+    """Trimmed intersection of a shared variable's slices, memoized.
 
-    ``key1``/``key2`` are slice-memo keys ``(occ index, start edge,
-    final edge)`` of two occurrences of the same variable; the memoized
-    machine is shared, so callers must ``copy()`` before handing it out
-    as part of a solution.  ``None`` means the intersection is empty.
+    ``keys`` are the slice-memo keys ``(occ index, start edge, final
+    edge)`` of the variable's occurrences, in occurrence order; the
+    slices are intersected left to right, trimming after each step.
+    The memoized machine is shared, so callers must ``copy()`` before
+    handing it out as part of a solution.  ``None`` means the
+    intersection is empty.
     """
     pair_memo = prepared.pair_memo
-    pair_key = (key1, key2) if key1[0] < key2[0] else (key2, key1)
-    if pair_key in pair_memo:
+    if keys in pair_memo:
         obs.increment_metric("gci.pair_memo_hits")
-        return pair_memo[pair_key]
+        return pair_memo[keys]
     obs.increment_metric("gci.pair_memo_misses")
-    a = _occurrence_slice(prepared, *key1)
-    b = _occurrence_slice(prepared, *key2)
-    if a is None or b is None:
+    result = _occurrence_slice(prepared, *keys[0])
+    for key in keys[1:]:
+        piece = _occurrence_slice(prepared, *key)
+        if result is None or piece is None:
+            result = None
+            break
+        result = ops.intersect(result, piece).trim()
+    if result is not None and result.is_empty():
         result = None
-    else:
-        intersection = ops.intersect(a, b).trim()
-        result = None if intersection.is_empty() else intersection
     # dprle-lint: disable=L001 -- pair_memo is a documented out-param accumulator, not machine state
-    pair_memo[pair_key] = result
+    pair_memo[keys] = result
     return result
 
 
@@ -914,51 +836,6 @@ def _occurrence_slice(
     # dprle-lint: disable=L001 -- memo is a documented out-param accumulator, not machine state
     memo[key] = result
     return result
-
-
-def _slice_combination(
-    prepared: "_PreparedGroup",
-    chosen: dict[BridgeTag, tuple[int, int]],
-) -> Optional[dict[Node, Nfa]]:
-    """Slice every occurrence for one bridge choice; None if any slice
-    or any shared variable's intersection is empty."""
-    slices: dict[Node, list[tuple[tuple, Nfa]]] = {
-        node: [] for node in prepared.leaves
-    }
-    for occ_index, occ in enumerate(prepared.occurrences):
-        start_edge = (
-            chosen[occ.start_of[1]] if occ.start_of[0] != "machine" else None
-        )
-        final_edge = (
-            chosen[occ.final_of[1]] if occ.final_of[0] != "machine" else None
-        )
-        piece = _occurrence_slice(prepared, occ_index, start_edge, final_edge)
-        if piece is None:
-            return None
-        slices[occ.node].append(((occ_index, start_edge, final_edge), piece))
-
-    solution: dict[Node, Nfa] = {}
-    for node in prepared.var_nodes:
-        parts = slices[node]
-        if len(parts) == 1:
-            # The memoized slice is shared across combinations; the
-            # solution must own its machine.
-            machine = parts[0][1].copy()
-        elif len(parts) == 2:
-            # The common sharing shape; the intersection is memoized
-            # (and may already be warm from the factoring pass).
-            cached = _share_intersection(prepared, parts[0][0], parts[1][0])
-            if cached is None:
-                return None
-            machine = cached.copy()
-        else:
-            machine = parts[0][1]
-            for _, part in parts[1:]:
-                machine = ops.intersect(machine, part).trim()
-            if machine.is_empty():
-                return None
-        solution[node] = machine
-    return solution
 
 
 def _flatten_leaves(graph: DepGraph, group: set[Node], temp: Node) -> list[Node]:

@@ -26,7 +26,11 @@ slow and obviously correct, and the production kernels in
   ``reverse ∘ left_quotient ∘ reverse``;
 * ``counterexample`` must agree on the verdict and the string;
 * ``trim`` must agree on states, per-state edge lists, starts, finals
-  and the next state id.
+  and the next state id;
+* ``product_walk`` is the plain stage-5 GCI walk: every index of the
+  full bridge product, sliced and checked per combination.  The
+  depth-first ``gci._iter_candidates`` must yield the same ``(index,
+  languages)`` stream.
 
 Each kernel counts visits one by one (``obs.visit_states(1)``) exactly
 where the production kernels count them in batches, so a solve under
@@ -39,6 +43,7 @@ equivalence suites run the solver on both.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from contextlib import contextmanager
 from typing import Iterator, Optional
@@ -48,6 +53,7 @@ from repro.automata import bitset, ops
 from repro.automata.charset import CharSet, minterms
 from repro.automata.dfa import Dfa, determinize as cached_determinize
 from repro.automata.nfa import Nfa
+from repro.solver import gci
 
 __all__ = [
     "KERNEL_SETS",
@@ -63,6 +69,7 @@ __all__ = [
     "counterexample",
     "trim",
     "structure",
+    "product_walk",
     "use_kernels",
 ]
 
@@ -524,6 +531,45 @@ def structure(nfa: Nfa) -> tuple:
     set), starts, finals and the next state id."""
     edges = {state: list(nfa.out_edges(state)) for state in nfa.states}
     return edges, nfa.starts, nfa.finals, nfa._next_state
+
+
+def product_walk(
+    prepared: "gci._PreparedGroup", limits: "gci.GciLimits"
+) -> Iterator[tuple[int, dict]]:
+    """``(index, solution)`` for every viable combination of a prepared
+    group, walking all of ``itertools.product`` over its edge lists."""
+    if limits.maximize:
+        gci._residuals(prepared)
+    edge_lists = [prepared.edges_by_tag[tag] for tag in prepared.tag_order]
+    for index, edges in enumerate(itertools.product(*edge_lists)):
+        solution = _slice_combination(prepared, dict(zip(prepared.tag_order, edges)))
+        if solution is None:
+            continue
+        if limits.maximize:
+            solution = gci._maximize_solution(prepared, solution)
+        yield index, solution
+
+
+def _slice_combination(prepared: "gci._PreparedGroup", chosen: dict) -> Optional[dict]:
+    """Slice every occurrence for one bridge choice; None if any slice
+    or any shared variable's intersection is empty."""
+    slices: dict = {node: [] for node in prepared.leaves}
+    for occ_index, occ in enumerate(prepared.occurrences):
+        start_edge = chosen[occ.start_of[1]] if occ.start_of[0] != "machine" else None
+        final_edge = chosen[occ.final_of[1]] if occ.final_of[0] != "machine" else None
+        piece = gci._occurrence_slice(prepared, occ_index, start_edge, final_edge)
+        if piece is None:
+            return None
+        slices[occ.node].append(piece)
+    solution = {}
+    for node in prepared.var_nodes:
+        machine = slices[node][0].copy()
+        for part in slices[node][1:]:
+            machine = ops.intersect(machine, part).trim()
+        if machine.is_empty():
+            return None
+        solution[node] = machine
+    return solution
 
 
 _ORACLE = {

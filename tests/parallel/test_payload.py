@@ -100,7 +100,7 @@ class TestGroupPayload:
         whole = list(gci._iter_candidates(prepared, limits, 0, None))
         pieces = []
         for start, stop in parallel._chunk_ranges(
-            prepared.factored_combinations, workers=4
+            prepared.total_combinations, workers=4
         ):
             pieces.extend(
                 gci._iter_candidates(prepared, limits, start, stop)

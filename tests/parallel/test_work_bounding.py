@@ -1,20 +1,27 @@
-"""Work-bounded enumeration: caps, factoring, and the safe frontier.
+"""Work-bounded enumeration: caps, prefix pruning, and the safe frontier.
 
-The perf contract of this PR: ``max_solutions=N`` bounds the *work*
-the stage-5 enumeration does, not just the output length —
-``gci.combinations_skipped`` counts what was never walked (streaming
-caps, the safe-frontier early exit, and combination-space factoring),
-and the combination-space factoring drops bridge edges that cannot
-appear in any viable combination before anything is enumerated.
+``max_solutions=N`` bounds the *work* the stage-5 enumeration does, not
+just the output length — ``gci.combinations_skipped`` counts what was
+never walked (streaming caps and the safe-frontier early exit) — and
+the depth-first walk settles every combination below a dead prefix at
+once (``gci.combinations_pruned``).
 """
 
 import pathlib
 
 from repro import obs
+from repro.automata.equivalence import equivalent
 from repro.constraints import parse_problem
 from repro.constraints.depgraph import build_graph
 from repro.solver import solve
-from repro.solver.gci import GciLimits, _prepare_group, group_solutions
+from repro.solver.gci import (
+    GciLimits,
+    _iter_candidates,
+    _prepare_group,
+    group_solutions,
+)
+
+from .. import oracle
 
 DATA = pathlib.Path(__file__).parent.parent / "data"
 
@@ -88,44 +95,51 @@ class TestSafeFrontierEarlyExit:
             limits=GciLimits(maximize=False, prune_subsumed=True),
         )
         assert len(capped) == 2
-        from repro.automata.equivalence import equivalent
-
         for a, b in zip(full, capped):
             for name in a.variables():
                 assert equivalent(a[name], b[name])
 
 
-class TestFactoring:
-    def test_factoring_drops_dead_edges(self):
-        """A shared variable whose slices are empty for some bridge
-        images loses those edges before enumeration; the counter and
-        the prepared group's factored size agree."""
-        text = """
-        var va, vb, vc;
-        va <= /a+/;
-        vb <= /(a|b)+/;
-        vc <= /b+/;
-        va . vb <= /a{1,3}b{1,3}/;
-        vb . vc <= /a{1,3}b{1,3}/;
-        """
-        problem = parse_problem(text)
-        graph, _ = build_graph(problem)
-        (group,) = graph.ci_groups()
-        prepared = _prepare_group(graph, group, GciLimits())
-        assert prepared is not None
-        assert prepared.factored_combinations < prepared.total_combinations
-        with obs.collect() as collector:
-            result = solve(parse_problem(text))
-        counters = _counters(collector)
-        assert counters["gci.combinations_factored"] > 0
-        assert len(result) > 0
+SHARED_MIDDLE = """
+var va, vb, vc;
+va <= /a+/;
+vb <= /(a|b)+/;
+vc <= /b+/;
+va . vb <= /a{1,3}b{1,3}/;
+vb . vc <= /a{1,3}b{1,3}/;
+"""
 
-    def test_factored_solutions_match_reference(self):
-        """Factoring only removes non-viable combinations: the output
-        must match a run whose threshold disables nothing (factoring is
-        unconditional, so compare against the seed-pinned fig9 set)."""
-        result = solve(_fig9())
+
+class TestPruning:
+    def test_pruning_cuts_dead_prefixes(self):
+        """A shared variable squeezed between an ``a``-only and a
+        ``b``-only neighbour has an empty intersection for most bridge
+        choices; the walk settles those combinations by cutting the
+        prefix, and the ledger still sums to the whole space."""
+        with obs.collect() as collector:
+            result = solve(parse_problem(SHARED_MIDDLE))
+        counters = _counters(collector)
         assert len(result) == 4
+        assert counters["gci.combinations_total"] == 15
+        assert counters["gci.combinations_enumerated"] == 15
+        assert 0 < counters["gci.combinations_pruned"] < 15
+
+    def test_pruned_solutions_match_reference(self):
+        """Pruning only cuts non-viable combinations: the walk yields
+        the same ``(index, languages)`` stream as the reference product
+        walk, which slices every combination."""
+        graph, _ = build_graph(parse_problem(SHARED_MIDDLE))
+        (group,) = graph.ci_groups()
+        limits = GciLimits(workers=0)
+        walked = list(
+            _iter_candidates(_prepare_group(graph, group, limits), limits, 0, None)
+        )
+        reference = list(
+            oracle.product_walk(_prepare_group(graph, group, limits), limits)
+        )
+        assert [i for i, _ in walked] == [i for i, _ in reference]
+        for (_, a), (_, b) in zip(walked, reference):
+            assert all(equivalent(a[node], b[node]) for node in b)
 
 
 def _fig9_group():

@@ -61,7 +61,7 @@ def test_parallel_introspection_metrics_present():
 
     sizes = histograms.get("parallel.chunk_combinations")
     assert sizes is not None
-    # Every factored combination was walked by exactly one chunk.
+    # Every combination was settled by exactly one chunk.
     assert sizes["sum"] == registry["counters"]["gci.combinations_enumerated"]
 
     waits = histograms.get("parallel.queue_wait_seconds")
@@ -78,7 +78,7 @@ def test_parallel_introspection_metrics_present():
     gauges = registry["gauges"]
     assert 0 < gauges.get("parallel.utilization", 0) <= 1.0
     assert gauges.get("parallel.chunk_skew", 0) >= 1.0
-    # Heartbeat progress reached 100% of the factored space.
+    # Heartbeat progress reached 100% of the combination space.
     assert (
         gauges.get("progress.gci_enumeration.done")
         == gauges.get("progress.gci_enumeration.total")

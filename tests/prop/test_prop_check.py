@@ -3,10 +3,11 @@
 ``repro.check.cost.estimate_group`` predicts a CI-group's combination
 count from machine sizes alone, before anything is determinized.  The
 prediction must be a *sound ceiling* on the ``gci.combinations_total``
-the solve later reports — and stage-5's bridge-edge factoring must
-never break that: it reduces which combinations get *enumerated*, never
-what ``combinations_total`` accounts for, so the bound and the ledger
-identity ``total = factored + enumerated + skipped`` both hold.
+the solve later reports — and stage-5's prefix pruning must never break
+that: it settles dead subtrees without reaching their leaves, never
+changes what ``combinations_total`` accounts for, so the bound and the
+ledger identity ``total = enumerated + skipped`` (with ``pruned ≤
+enumerated``) both hold.
 """
 
 from hypothesis import given, settings
@@ -24,12 +25,12 @@ from .strategies import machines
 
 SETTINGS = settings(max_examples=15, deadline=None)
 
-LEDGER = ("factored", "enumerated", "skipped")
+LEDGER = ("enumerated", "skipped")
 
 
 def _shared_chain_problem(c1, c2, c3) -> Problem:
     """x·y ⊆ c1, y·z ⊆ c2 with unary bounds: the shared variable ``y``
-    makes factoring bite."""
+    makes prefix pruning bite."""
     return Problem(
         [
             Subset(Var("x"), Const("c3", c3)),
@@ -44,7 +45,7 @@ def _shared_chain_problem(c1, c2, c3) -> Problem:
 
 @SETTINGS
 @given(machines(max_depth=2), machines(max_depth=2), machines(max_depth=2))
-def test_estimate_bounds_total_under_factoring(c1, c2, c3):
+def test_estimate_bounds_total_under_pruning(c1, c2, c3):
     problem = _shared_chain_problem(c1, c2, c3)
     graph, _ = build_graph(problem)
     predicted = sum(e.estimated_combinations for e in estimate_groups(graph))
@@ -55,6 +56,9 @@ def test_estimate_bounds_total_under_factoring(c1, c2, c3):
     total = counters.get("gci.combinations_total", 0)
     # The static prediction is an upper bound on the accounted space.
     assert total <= predicted, (total, predicted)
-    # Factoring moves combinations between ledger columns only.
+    # Pruning settles combinations, it does not drop them from the ledger.
     parts = sum(counters.get(f"gci.combinations_{part}", 0) for part in LEDGER)
     assert total == parts, counters
+    assert counters.get("gci.combinations_pruned", 0) <= counters.get(
+        "gci.combinations_enumerated", 0
+    ), counters

@@ -1,7 +1,7 @@
 """Barrier slices are the unbarriered slices, structurally.
 
-The GCI factor and enumeration stages restrict each occurrence's top
-machine with the top's own bridge tags as the barrier
+The GCI enumeration stage restricts each occurrence's top machine
+with the top's own bridge tags as the barrier
 (``_PreparedGroup.barriers``), so the walk stays inside the
 occurrence's region.  That is only sound if no start→final path of an
 occurrence ever crosses one of its top's tags.  These tests check it on
@@ -80,17 +80,10 @@ def _groups(graph, limits):
             yield prepared
 
 
-@settings(max_examples=25, deadline=None)
-@given(
-    machines(max_depth=2),
-    machines(max_depth=2),
-    machines(max_depth=2),
-    machines(max_depth=2),
-)
-def test_barrier_slices_on_random_rma_systems(c1, c2, c3, k):
-    # A nested concatenation (two tags in one top) and a second top
-    # sharing both variables in the other order.
-    problem = Problem(
+def rma_system(c1, c2, c3, k) -> Problem:
+    """A nested concatenation (two tags in one top) and a second top
+    sharing both variables in the other order."""
+    return Problem(
         [
             Subset(Var("x"), Const("c1", c1)),
             Subset(
@@ -101,7 +94,17 @@ def test_barrier_slices_on_random_rma_systems(c1, c2, c3, k):
         ],
         alphabet=AB,
     )
-    graph, _ = build_graph(problem)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    machines(max_depth=2),
+    machines(max_depth=2),
+    machines(max_depth=2),
+    machines(max_depth=2),
+)
+def test_barrier_slices_on_random_rma_systems(c1, c2, c3, k):
+    graph, _ = build_graph(rma_system(c1, c2, c3, k))
     for prepared in _groups(graph, GciLimits(max_combinations=10_000)):
         assert_barrier_slices_match(prepared)
 

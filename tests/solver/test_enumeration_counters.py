@@ -1,10 +1,12 @@
 """The stage-5 combination ledger and the enumeration memos.
 
 Every CI-group accounts for its whole bridge-combination space:
-``total = factored + enumerated + skipped``, capped or not.  Repeated
-runs report the same ``gci.*`` series, and the per-group slice/pair
-memos serve the repeated lookups of one enumeration
-(``gci.slice_memo_*``/``gci.pair_memo_*``).
+``total = enumerated + skipped``, capped or not, where the enumerated
+combinations the walk settled by cutting a dead prefix are also counted
+as ``gci.combinations_pruned``.  Repeated runs report the same
+``gci.*`` series, and the per-group slice/pair memos serve the repeated
+lookups of one enumeration (``gci.slice_memo_*``/``gci.pair_memo_*``).
+The Sec. 3.5 chain at k = 3 pins the raw walk's ledger.
 """
 
 import pathlib
@@ -16,7 +18,10 @@ from repro.automata.equivalence import equivalent
 from repro.cache import LangCache
 from repro.constraints import parse_problem
 from repro.solver import solve
-from repro.solver.gci import GciLimits
+from repro.constraints import build_graph
+from repro.solver.gci import GciLimits, group_solutions
+
+from benchmarks.test_sec35_chain_scaling import chain_problem
 
 DATA = pathlib.Path(__file__).parent.parent / "data"
 
@@ -34,11 +39,9 @@ def _counters(fixture: str, max_solutions=None):
 def test_counter_accounting_identity(max_solutions):
     _, counters = _counters("wider.dprle", max_solutions=max_solutions)
     total = counters["gci.combinations_total"]
-    parts = sum(
-        counters.get(f"gci.combinations_{part}", 0)
-        for part in ("factored", "enumerated", "skipped")
-    )
-    assert total == parts
+    enumerated = counters.get("gci.combinations_enumerated", 0)
+    assert total == enumerated + counters.get("gci.combinations_skipped", 0)
+    assert counters.get("gci.combinations_pruned", 0) <= enumerated
 
 
 @pytest.mark.parametrize("fixture", ["wide.dprle", "wider.dprle"])
@@ -69,9 +72,13 @@ def test_slice_memo_hit_rate(fixture):
 
 
 def test_pair_memo_serves_enumeration():
-    """Factoring computes the pairwise share intersections; the
-    enumeration re-requests them from the pair memo."""
-    _, counters = _counters("wide.dprle")
+    """A shared variable's intersection is keyed by its occurrences'
+    slices, so prefixes that differ only in tags it does not depend on
+    re-read it from the pair memo: in the chain at k = 2, ``v0``'s two
+    occurrences depend on two of the group's three tags."""
+    with obs.collect() as collector:
+        solve(chain_problem(2), limits=GciLimits(workers=0))
+    counters = collector.metrics.snapshot()["counters"]
     assert counters["gci.pair_memo_hits"] > 0
 
 
@@ -81,3 +88,31 @@ def test_memo_reuse_across_groups_in_one_solve():
     result, counters = _counters("fig9.dprle")
     assert result.satisfiable
     assert counters["gci.slice_memo_hits"] > counters["gci.slice_memo_misses"]
+
+
+def test_chain_k3_raw_walk_prunes_dead_prefixes():
+    """The raw walk (the limits ``run_chain`` uses) of the Sec. 3.5
+    chain at k = 3: 813 viable candidates out of 14,850 combinations,
+    most of them settled by a cut prefix instead of a leaf."""
+    graph, _ = build_graph(chain_problem(3))
+    limits = GciLimits(
+        maximize=False,
+        prune_subsumed=False,
+        dedupe=False,
+        max_combinations=1_000_000,
+        workers=0,
+    )
+    with obs.collect() as collector:
+        viable = sum(
+            1
+            for group in graph.ci_groups()
+            for _ in group_solutions(graph, group, limits)
+        )
+    counters = collector.metrics.snapshot()["counters"]
+    assert viable == 813
+    total = counters["gci.combinations_total"]
+    assert total == 14850
+    assert total == counters["gci.combinations_enumerated"] + counters.get(
+        "gci.combinations_skipped", 0
+    )
+    assert 0 < counters["gci.combinations_pruned"] <= total
