@@ -68,7 +68,6 @@ def run_chain(k: int):
     limits = GciLimits(
         maximize=False,
         prune_subsumed=False,
-        dedupe=False,
         max_combinations=1_000_000,
     )
     with obs.collect() as first_cost:

@@ -167,9 +167,9 @@ def minimize_nfa(nfa: Nfa) -> Nfa:
 
     This is the intermediate-machine minimization the paper suggests
     (Sec. 4) as a remedy for the ``secure`` outlier; the ablation
-    benchmark toggles it.  With a language cache active the minimal
-    machine falls out of the signature computation and is memoized by
-    signature, so equivalent machines minimize once.
+    benchmark toggles it.  Memoized by the active language cache under
+    the input's structural digest, so rendering the same answer twice
+    (a daemon's repeated query) minimizes it once.
     """
     cache = active_cache()
     if cache is not None:

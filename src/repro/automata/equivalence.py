@@ -164,13 +164,10 @@ def _closed(edges: dict[int, list[Edge]], states: set[int]) -> tuple[int, ...]:
 def is_subset(a: Nfa, b: Nfa) -> bool:
     """Decide ``L(a) ⊆ L(b)``.
 
-    Memoized by the active language cache: when both operands'
-    signatures are already known, equal signatures short-circuit to
-    True and other verdicts are remembered per signature pair — which
-    collapses the solver's repeated subsumption scans.  Otherwise the
-    lazy on-the-fly check below runs (signatures are never forced, so
-    determinization blowup is no worse than uncached) and the verdict
-    is memoized structurally.
+    Memoized by the active language cache: the lazy on-the-fly check
+    below runs once per pair of structural digests (equal digests
+    short-circuit to True), which collapses the solver's repeated
+    subsumption scans without forcing any determinization.
     """
     cache = active_cache()
     if cache is not None:
@@ -182,6 +179,6 @@ def equivalent(a: Nfa, b: Nfa) -> bool:
     """Decide ``L(a) = L(b)`` as two inclusions.
 
     With a language cache active both verdicts are memoized through
-    :func:`is_subset`, which never forces a signature.
+    :func:`is_subset`.
     """
     return is_subset(a, b) and is_subset(b, a)

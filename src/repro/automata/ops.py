@@ -216,11 +216,12 @@ def product(a: Nfa, b: Nfa) -> tuple[Nfa, dict[int, tuple[int, int]]]:
 def intersect(a: Nfa, b: Nfa) -> Nfa:
     """Machine for ``L(a) ∩ L(b)`` when provenance is not needed.
 
-    This provenance-free path is signature-memoized by the active
-    language cache (``product`` itself never is: its provenance map and
-    tag images are structure-sensitive).  The result is therefore only
-    *language*-faithful: a cache hit may return a language-equal machine
-    with different states, start/final sets, or bridge tags.  Callers
+    This provenance-free path is memoized by the active language cache
+    under the operands' tag-blind structural digests (``product`` itself
+    never is: its provenance map and tag images are structure-sensitive).
+    The result is therefore only *language*-faithful: a cache hit may
+    return a machine with different bridge tags, or the product of the
+    operands in the other order.  Callers
     that go on to read structure off the result — bridge-image scanning,
     the GCI stage-1/stage-2 machine construction — must call
     :func:`product` directly instead.

@@ -1,46 +1,29 @@
-"""Language-level memoization keyed by canonical signatures.
+"""Structure-keyed memoization of language-level automata work.
 
 The paper's cost model counts NFA state visits (Sec. 3.5), and the
-solver's hot paths — CI-group enumeration, solution dedupe/subsumption,
-Galois maximization — keep redoing language-level work on machines
-whose languages were computed moments earlier.  This module provides a
-*solver-scoped* memoization layer over those operations, in the spirit
-of the aggressive canonical-form memoization that makes derivative-
-style procedures tractable.
+solver's hot paths — CI-group enumeration, solution subsumption, Galois
+maximization — keep redoing automata work on machines built moments
+earlier.  This module provides a *solver-scoped* memoization layer over
+those operations.
 
-Two-tier keying:
+One key: every entry is keyed by the **structural digest**
+(:meth:`LangCache.struct_key`) of its operands — a cheap ``O(edges)``
+canonical serialization of an NFA as-is (states densely renumbered,
+edges sorted, charset labels serialized by their interval ranges,
+bridge tags ignored, alphabet universe included).  Structurally
+identical machines — the common case for the per-combination slices
+the GCI enumeration mints and for the constants every solve rebuilds
+— share it without any automata construction.  Equal digests imply
+equal languages; the converse does not hold, and nothing here pays a
+determinization to find language-equal machines of different
+structure.
 
-* **Structural digest** (:meth:`LangCache.struct_key`) — a cheap
-  ``O(edges)`` canonical serialization of an NFA as-is (states densely
-  renumbered, edges sorted, charset labels serialized by their interval
-  ranges, bridge tags ignored).  Structurally identical machines — the
-  common case for the per-combination slices the GCI enumeration mints
-  — share it without any automata construction.
-* **Language signature** (:meth:`LangCache.signature`) — the structural
-  digest of the machine's Hopcroft-minimized DFA, renumbered by BFS
-  order from the start state with successors visited in canonical
-  label order.  The minimal complete DFA is unique up to isomorphism
-  and the BFS renumbering picks a canonical representative, so **two
-  machines have equal signatures iff their languages are equal**.
-  Signatures embed the alphabet universe, so results can never be
-  confused across alphabets.
-
-What is memoized is exactly what the workloads hit: signatures (with
-the minimal machine each one yields, so :meth:`LangCache.minimize` on
-any language-equal machine is a lookup), provenance-free
-:meth:`LangCache.intersect` under the signature pair, and
-:meth:`LangCache.is_subset` verdicts (``equivalent`` is two of them).
-Signature computation itself is memoized per object and per structural
-digest, so repeated slices pay it once.  The exception to language
-keying is :meth:`LangCache.eliminate_epsilon`, which is memoized under
-the *structural* key only: the GCI procedure reads bridge-crossing
-structure off products of its output, so substituting a language-equal
-but structurally different machine could change which candidate
-combinations get enumerated.  Structural keying is exactly
-behavior-preserving.  Every other kernel — ``determinize``,
-``complement``, the quotients — has one uncached path: keying it would
-force a signature (a subset construction plus Hopcroft) on every new
-operand just to build the key.
+What is memoized is exactly what the workloads hit: provenance-free
+:meth:`LangCache.intersect`, :meth:`LangCache.is_subset` verdicts
+(``equivalent`` is two of them), :meth:`LangCache.minimize` (the
+rendering of every answer, which a daemon repeats) and
+:meth:`LangCache.eliminate_epsilon`.  Every other kernel —
+``determinize``, ``complement``, the quotients — has one uncached path.
 
 Scoping — the cache is **solver-scoped, not global**: a
 :class:`LangCache` is held by :class:`~repro.solver.api.RegLangSolver`,
@@ -57,22 +40,17 @@ Caveats (see ``docs/CACHING.md``):
 
 * Cached machines are returned as fresh copies, so callers may mutate
   them freely; the stored machine is private to the cache.
-* Cached results are language-faithful but not *structure*- or
-  *tag*-faithful: a hit may return a language-equal machine with
-  different states, start/final sets, or bridge tags.  The
-  structure-sensitive GCI paths therefore never go through the
-  signature-keyed cache: :func:`~repro.automata.ops.product` (with or
-  without provenance) and the stage-1/stage-2 machine construction in
-  ``gci._prepare_group`` call the uncached product directly, because
-  the bridge images enumerated in stage 4 are read off those machines'
-  start/final structure.  Signature-keyed ``intersect`` is reserved for
-  purely language-level uses (share intersection in
-  ``_share_intersection``, maximization caps).
-* ``is_subset`` only uses the signature fast path when both operands'
-  signatures are already known; otherwise the lazy
-  on-the-fly inclusion check runs (no forced determinization — which
-  could blow up on NFAs the lazy check handles easily) and its verdict
-  is memoized under structural keys.
+* Cached results are language-faithful but not *tag*-faithful: the
+  digest ignores bridge tags, so a hit may return a machine whose tags
+  differ from the ones a fresh computation would carry (and a machine
+  loaded from the persistent store carries freshly minted tags).  The
+  structure-sensitive GCI paths therefore never go through the cache:
+  :func:`~repro.automata.ops.product` (with or without provenance) and
+  the stage-1/stage-2 machine construction in ``gci._prepare_group``
+  call the uncached product directly, because the bridge images
+  enumerated in stage 4 are read off those machines' tagged edges.
+  Cached ``intersect`` is reserved for purely language-level uses
+  (share intersection in ``_share_intersection``, maximization caps).
 * Mutating a machine *after* the cache has fingerprinted it is detected
   by a cheap staleness stamp (state/transition counts plus start/final
   sets); in-place edits that preserve all of those would evade it, but
@@ -82,21 +60,20 @@ Caveats (see ``docs/CACHING.md``):
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
 from weakref import ref as weakref_ref
 
 from .. import obs
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from ..automata.dfa import Dfa
     from ..automata.nfa import Nfa
     from .store import SignatureStore
 
-__all__ = ["CacheLimits", "LangCache", "active_cache"]
+__all__ = ["CacheLimits", "LangCache", "active_cache", "struct_digest"]
 
 
 @dataclass
@@ -113,16 +90,15 @@ class CacheLimits:
 
 
 class _Rec:
-    """Per-object fingerprint record: lazily computed digests for one
+    """Per-object fingerprint record: the lazily computed digest of one
     ``Nfa`` instance, guarded against mutation by ``stamp``."""
 
-    __slots__ = ("ref", "stamp", "struct", "sig")
+    __slots__ = ("ref", "stamp", "struct")
 
     def __init__(self, nfa: "Nfa", stamp: tuple):
         self.ref = weakref_ref(nfa)
         self.stamp = stamp
         self.struct: Optional[str] = None
-        self.sig: Optional[str] = None
 
 
 def _stamp(nfa: "Nfa") -> tuple:
@@ -135,7 +111,7 @@ def _stamp(nfa: "Nfa") -> tuple:
     )
 
 
-def _struct_digest(nfa: "Nfa") -> str:
+def struct_digest(nfa: "Nfa") -> str:
     """Canonical structural serialization (tag-blind), hashed.
 
     States are renumbered densely by sorted id and every state's edges
@@ -157,42 +133,6 @@ def _struct_digest(nfa: "Nfa") -> str:
             for edge in nfa.out_edges(state)
         )
         hasher.update(repr((order[state], edges)).encode())
-    return hasher.hexdigest()
-
-
-def _lang_digest(mdfa: "Dfa") -> str:
-    """Canonical digest of a minimal complete DFA.
-
-    BFS from the start state, visiting successors in ascending label
-    order, assigns the canonical numbering; the digest then serializes
-    finals membership and the renumbered transition function.  Minimal
-    complete DFAs are unique up to isomorphism and every state is
-    reachable, so this digest is a *canonical form* of the language:
-    equal digests ⟺ equal languages.
-    """
-    order: dict[int, int] = {mdfa.start: 0}
-    queue = deque([mdfa.start])
-    canonical_moves: dict[int, list[tuple[tuple, int]]] = {}
-    while queue:
-        state = queue.popleft()
-        moves = sorted(mdfa.transitions[state], key=lambda mv: mv[0].ranges)
-        for _, dst in moves:
-            if dst not in order:
-                order[dst] = len(order)
-                queue.append(dst)
-        canonical_moves[state] = [(label.ranges, dst) for label, dst in moves]
-    hasher = hashlib.sha256()
-    hasher.update(repr(mdfa.alphabet.universe.ranges).encode())
-    for state in sorted(order, key=order.get):
-        hasher.update(
-            repr(
-                (
-                    order[state],
-                    state in mdfa.finals,
-                    [(rng, order[dst]) for rng, dst in canonical_moves[state]],
-                )
-            ).encode()
-        )
     return hasher.hexdigest()
 
 
@@ -221,7 +161,6 @@ class LangCache:
         self.hits: dict[str, int] = {}
         self.misses: dict[str, int] = {}
         self.evictions = 0
-        self.signature_collisions = 0
 
     # -- activation ----------------------------------------------------
 
@@ -290,7 +229,6 @@ class LangCache:
             "hits": dict(sorted(self.hits.items())),
             "misses": dict(sorted(self.misses.items())),
             "evictions": self.evictions,
-            "signature_collisions": self.signature_collisions,
             "hit_total": sum(self.hits.values()),
             "miss_total": sum(self.misses.values()),
         }
@@ -322,94 +260,41 @@ class LangCache:
         """The structural digest of ``nfa``, memoized per object."""
         rec = self._rec(nfa)
         if rec.struct is None:
-            rec.struct = _struct_digest(nfa)
+            rec.struct = struct_digest(nfa)
         return rec.struct
-
-    def signature(self, nfa: "Nfa") -> str:
-        """The canonical language signature of ``nfa``.
-
-        Memoized per object *and* per structural digest, so the
-        determinize+minimize it costs is paid once per distinct
-        structure, not once per object.
-        """
-        sig, _ = self._signature(nfa)
-        return sig
-
-    def _signature(self, nfa: "Nfa") -> tuple[str, bool]:
-        """Returns ``(signature, computed_fresh)``."""
-        rec = self._rec(nfa)
-        if rec.sig is not None:
-            return rec.sig, False
-        struct = self.struct_key(nfa)
-        known = self._get(("sig", struct))
-        if known is not None:
-            rec.sig = known
-            return known, False
-        from ..automata.dfa import determinize, minimize_dfa
-
-        obs.count_operation("signature")
-        with obs.span("signature", states_in=nfa.num_states) as sp:
-            mdfa = minimize_dfa(determinize(nfa))
-            sig = _lang_digest(mdfa)
-            sp.set("states_out", mdfa.num_states)
-        rec.sig = sig
-        self._put(("sig", struct), sig)
-        if self._get(("min", sig)) is None:
-            # The minimal machine is a free by-product of the signature;
-            # stash it so minimize() on any equivalent machine hits.
-            self._put(("min", sig), mdfa.to_nfa().trim())
-        else:
-            # A structurally distinct machine denoted an already-known
-            # language: the dedupe/memoization win the signature layer
-            # exists for.  (Digest collisions of *different* languages
-            # are not detectable here; this gauge counts convergence.)
-            self.signature_collisions += 1
-            obs.increment_metric("cache.signature_collisions")
-            obs.set_gauge(
-                "cache.signature_collisions", self.signature_collisions
-            )
-        return sig, True
-
-    def _sig_if_known(self, nfa: "Nfa") -> Optional[str]:
-        """The signature if one is already on record (per object or per
-        structural digest) — never forces a determinization."""
-        rec = self._rec(nfa)
-        if rec.sig is None:
-            known = self._get(("sig", self.struct_key(nfa)))
-            if known is not None:
-                rec.sig = known
-        return rec.sig
 
     # -- memoized operations -------------------------------------------
 
-    def minimize(self, nfa: "Nfa") -> "Nfa":
-        """Memoized canonical minimization, keyed by language signature."""
-        sig, fresh = self._signature(nfa)
-        stored = self._get(("min", sig))
-        if stored is not None and not fresh:
-            self._hit("minimize")
-        else:
-            self._miss("minimize")
-        if stored is None:  # evicted between signature and lookup
-            from ..automata.dfa import _minimize_nfa_instrumented
+    def _memoized(
+        self, op: str, key: tuple, compute: Callable[[], "Nfa"]
+    ) -> "Nfa":
+        stored = self._get(key)
+        if stored is not None:
+            self._hit(op)
+            return stored.copy()
+        self._miss(op)
+        result = compute()
+        self._put(key, result.copy())
+        return result
 
-            stored = _minimize_nfa_instrumented(nfa)
-            self._put(("min", sig), stored)
-        return stored.copy()
+    def minimize(self, nfa: "Nfa") -> "Nfa":
+        """Memoized canonical minimization."""
+        from ..automata.dfa import _minimize_nfa_instrumented
+
+        key = ("min", self.struct_key(nfa))
+        return self._memoized(
+            "minimize", key, lambda: _minimize_nfa_instrumented(nfa)
+        )
 
     def eliminate_epsilon(self, nfa: "Nfa") -> "Nfa":
-        """Memoized ε-elimination, keyed *structurally* (see module docs)."""
+        """Memoized ε-elimination (never persisted; see
+        :mod:`repro.cache.store`)."""
         from ..automata.ops import _eliminate_epsilon_instrumented
 
         key = ("elim_eps", self.struct_key(nfa))
-        stored = self._get(key)
-        if stored is not None:
-            self._hit("eliminate_epsilon")
-            return stored.copy()
-        self._miss("eliminate_epsilon")
-        result = _eliminate_epsilon_instrumented(nfa)
-        self._put(key, result.copy())
-        return result
+        return self._memoized(
+            "eliminate_epsilon", key, lambda: _eliminate_epsilon_instrumented(nfa)
+        )
 
     def intersect(self, a: "Nfa", b: "Nfa") -> "Nfa":
         """Memoized provenance-free intersection (commutative key)."""
@@ -417,29 +302,16 @@ class LangCache:
 
         if a.alphabet != b.alphabet:
             raise ValueError("cannot intersect machines over different alphabets")
-        sig_a = self.signature(a)
-        sig_b = self.signature(b)
-        key = ("intersect",) + tuple(sorted((sig_a, sig_b)))
-        stored = self._get(key)
-        if stored is not None:
-            self._hit("intersect")
-            return stored.copy()
-        self._miss("intersect")
-        result, _ = product(a, b)
-        self._put(key, result.copy())
-        return result
+        key = ("intersect",) + tuple(
+            sorted((self.struct_key(a), self.struct_key(b)))
+        )
+        return self._memoized("intersect", key, lambda: product(a, b)[0])
 
     def is_subset(self, a: "Nfa", b: "Nfa") -> bool:
-        """Memoized inclusion.
-
-        Signatures are used only when both are *already* known (equal
-        signatures short-circuit to True; other verdicts are remembered
-        per signature pair) — computing one costs a subset construction
-        plus Hopcroft minimization, which on blowup-prone NFAs is far
-        worse than the lazy on-the-fly check with early counterexample
-        exit.  When either signature is missing, the lazy check runs
-        and its verdict is memoized under the structural key pair.
-        """
+        """Memoized inclusion: the lazy on-the-fly check (no forced
+        determinization, early counterexample exit), its verdict keyed
+        by the operands' structural digests.  Equal digests mean equal
+        languages, so they short-circuit to True."""
         from ..automata.equivalence import counterexample
 
         if a.alphabet != b.alphabet:
@@ -452,15 +324,11 @@ class LangCache:
             # a is non-empty here, so a ⊆ ∅ is immediately false.
             obs.increment_metric("cache.empty_shortcircuit")
             return False
-        sig_a = self._sig_if_known(a)
-        sig_b = self._sig_if_known(b)
-        if sig_a is not None and sig_b is not None:
-            if sig_a == sig_b:
-                self._hit("is_subset")
-                return True
-            key = ("subset", "lang", sig_a, sig_b)
-        else:
-            key = ("subset", "struct", self.struct_key(a), self.struct_key(b))
+        key_a, key_b = self.struct_key(a), self.struct_key(b)
+        if key_a == key_b:
+            self._hit("is_subset")
+            return True
+        key = ("subset", key_a, key_b)
         stored = self._get(key)
         if stored is not None:
             self._hit("is_subset")

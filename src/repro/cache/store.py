@@ -1,28 +1,25 @@
-"""Persistent signature store: the on-disk tier of the language cache.
+"""Persistent memo store: the on-disk tier of the language cache.
 
 :class:`~repro.cache.LangCache` memoizes language-level automata work
-under canonical content-addressed keys — BFS-renumbered minimal-DFA
-digests (:meth:`~repro.cache.LangCache.signature`) and structural
-digests (:meth:`~repro.cache.LangCache.struct_key`).  Those digests are
-stable across processes, machines, and releases of the *solver state*
-(they encode only the automaton and its alphabet), which makes the
-memoization table itself durable data: a server replica that has never
-seen a query can still answer it from another replica's work, and a
-restarted daemon does not re-pay the determinize/minimize cost of every
-signature it had already computed.
+under content-addressed keys — the tag-blind structural digests of the
+operands (:meth:`~repro.cache.LangCache.struct_key`).  Those digests
+are stable across processes and machines (they encode only the
+automaton and its alphabet), which makes the memoization table itself
+durable data: a server replica that has never seen a query can still
+answer it from another replica's work, and a restarted daemon does not
+re-pay the products, minimizations and inclusion checks it had already
+done.
 
 This module is that durable tier: a sqlite-backed map from cache keys
 to serialized machines and memoized verdicts, attached to a
 :class:`~repro.cache.LangCache` as a write-through backing store.  The
 in-memory LRU table stays the fast path; on an LRU miss the store is
 consulted, and every insert of a persistable entry is mirrored to disk.
+The class keeps its historical name, ``SignatureStore``, and the
+daemon's ``--cache-db`` flag opens it.
 
 What is persisted (see ``PERSISTED_OPS``):
 
-* ``sig`` — structural digest → language signature.  This is the
-  headline entry: re-deriving a signature costs a subset construction
-  plus Hopcroft minimization, while re-deriving the structural digest
-  of an incoming machine is a cheap ``O(edges)`` serialization.
 * ``min`` / ``intersect`` — memoized machines, serialized with the
   id-preserving :func:`~repro.automata.serialize.to_dict` encoding.
 * ``subset`` — memoized inclusion verdicts (``"y"`` / ``"n"`` tokens,
@@ -30,28 +27,23 @@ What is persisted (see ``PERSISTED_OPS``):
 
 What is deliberately **not** persisted:
 
-* ``elim_eps`` — ε-elimination results are memoized *structurally*
-  because the GCI procedure reads bridge-crossing structure (including
-  bridge-tag identity) off them; a machine decoded from disk carries
-  freshly minted tag objects, so substituting it would be exactly the
+* ``elim_eps`` — ε-elimination results feed the GCI stage-1/stage-2
+  machines, whose bridge structure (including bridge-tag identity) the
+  enumeration reads; a machine decoded from disk carries freshly minted
+  tag objects, so substituting it would be exactly the
   identity-sensitivity bug class ``L002`` exists to catch.
 
-Earlier releases also wrote ``comp``, ``lq``, ``rq`` and ``equiv``
-entries; the cache no longer memoizes complements, quotients or
-equivalence verdicts of its own, so those keys are never looked up
-again.  A store that still holds them is read unchanged — they are
-dead rows, not a format change — so the schema header stays
-``dprle.store/1``.
-
 Format and versioning: one sqlite database with a ``meta`` table whose
-``schema`` row carries the version header (``dprle.store/1``) and an
+``schema`` row carries the version header (``dprle.store/2``) and an
 ``entries`` table keyed by the JSON-encoded cache key.  Opening a store
 whose header names a different version wipes and re-initializes it
-(digest semantics are part of the version contract).  Opening a
-truncated or otherwise corrupt file — sqlite raising
-``DatabaseError`` at connect or first query — recovers by moving the
-wreck aside and starting empty, never by failing the solve
-(``cache.store.corrupt_recovered`` counts recoveries).
+(key semantics are part of the version contract: ``dprle.store/1``
+keyed ``min``, ``intersect`` and some ``subset`` entries by language
+signatures, and held ``sig`` rows).  Opening a truncated or
+otherwise corrupt file — sqlite raising ``DatabaseError`` at connect
+or first query — recovers by moving the wreck aside and starting
+empty, never by failing the solve (``cache.store.corrupt_recovered``
+counts recoveries).
 
 Concurrency: WAL journaling (with silent fallback where WAL is
 unavailable) plus a busy timeout lets several stores — threads or
@@ -75,17 +67,16 @@ from ..automata.serialize import from_dict, to_dict
 
 __all__ = ["SCHEMA", "PERSISTED_OPS", "SignatureStore", "StoreValue"]
 
-#: Version header: bump when digest semantics or the entry encoding
+#: Version header: bump when key semantics or the entry encoding
 #: change; stores with a different header are wiped on open.
-SCHEMA = "dprle.store/1"
+SCHEMA = "dprle.store/2"
 
-#: A persisted value: a digest/verdict string or a memoized machine.
+#: A persisted value: a verdict string or a memoized machine.
 StoreValue = Union[str, Nfa]
 
 #: Cache-key prefix → value kind ("str" or "nfa") for every entry class
 #: the store accepts.  Keys outside this table never touch disk.
 PERSISTED_OPS: dict[str, str] = {
-    "sig": "str",
     "subset": "str",
     "min": "nfa",
     "intersect": "nfa",
@@ -164,7 +155,7 @@ class SignatureStore:
             self._recover_from_corruption()
             return
         if row is None or row[0] != SCHEMA:
-            # A future (or foreign) version: digest semantics are part
+            # A future (or foreign) version: key semantics are part
             # of the version contract, so stale entries are wrong, not
             # merely cold.  Start empty under our own header.
             with conn:

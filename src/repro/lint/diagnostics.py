@@ -37,7 +37,7 @@ SCHEMA = "dprle.lint/1"
 CODES: dict[str, tuple[Severity, str]] = {
     "L000": (Severity.ERROR, "file cannot be parsed"),
     "L001": (Severity.ERROR, "kernel mutates or aliases parameter-reachable state"),
-    "L002": (Severity.ERROR, "signature-keyed cache op in identity-sensitive code"),
+    "L002": (Severity.ERROR, "cache-keyed op in identity-sensitive code"),
     "L010": (Severity.ERROR, "non-fork-safe payload submitted to executor"),
     "L020": (Severity.ERROR, "metric or span name absent from the schema"),
     "L021": (Severity.WARNING, "metric name not statically checkable"),

@@ -1,22 +1,25 @@
-"""L002 — cache identity: no signature-keyed ops in identity-sensitive
+"""L002 — cache identity: no cache-keyed ops in identity-sensitive
 regions.
 
-:class:`repro.cache.LangCache` keys ``minimize`` / ``intersect`` /
-``is_subset`` (and so ``equivalent``, two inclusions) by canonical
-*language* signature: a hit may substitute a language-equal machine
-with completely different state/edge structure.
-That is sound wherever only the language is consumed — and unsound in
-GCI stage 1, where the start/final structure of leaf machines determines
-the stage-4 bridge images.  PR 2 shipped exactly this bug: routing
-stage-1 intersections through the cache made answers depend on cache
-history.
+:class:`repro.cache.LangCache` keys ``minimize`` (and its kernel
+``minimize_nfa``), ``intersect`` and ``is_subset`` (and so
+``equivalent``, two inclusions) by the operands' *tag-blind* structural
+digests, with a commutative key for ``intersect``: a hit may return the
+product of the operands in the other order, with bridge tags from
+whatever machine first filled the entry, and a persistent store hands
+back freshly minted tags (minimization collapses structure by design
+anyway).  All of that is sound wherever only the language is consumed
+— and unsound in GCI stage 1, where the start/final structure and the
+tagged edges of leaf machines determine the stage-4 bridge images.
+Routing stage-1 intersections through the cache once made answers
+depend on cache history.
 
 The rule is marker-driven: a function containing a
 ``# dprle-lint: identity-sensitive`` comment is an identity-sensitive
-region, and every call to a signature-keyed operation inside it is
+region, and every call to one of these operations inside it is
 flagged.  The sanctioned alternative — the uncached, structure-faithful
-``ops.product`` — passes clean, as do the struct-keyed
-``eliminate_epsilon``, the kernels that never consult the cache
+``ops.product`` — passes clean, as do ``eliminate_epsilon`` (applied
+to untagged constants), the kernels that never consult the cache
 (``determinize``, ``complement``, the quotients, ``minimize_dfa``) and
 plain machine methods (``trim`` etc.).
 """
@@ -33,10 +36,10 @@ from . import Rule, register_rule
 
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
-#: Call targets that consult the language cache under a signature key:
+#: Call targets that consult the language cache under a tag-blind key:
 #: ``LangCache.minimize`` and its kernel ``minimize_nfa``, ``intersect``,
 #: ``is_subset`` and ``equivalent`` (which is two ``is_subset`` calls).
-SIGNATURE_KEYED = frozenset({
+CACHE_KEYED = frozenset({
     "minimize",
     "minimize_nfa",
     "intersect",
@@ -66,14 +69,15 @@ def _check(ctx: FileContext) -> Iterator[LintFinding]:
                 continue
             seen.add(id(node))
             name = call_name(node)
-            if name in SIGNATURE_KEYED:
+            if name in CACHE_KEYED:
                 yield ctx.finding(
                     "L002",
                     node,
-                    f"signature-keyed operation {name!r} called inside the "
+                    f"cache-keyed operation {name!r} called inside the "
                     f"identity-sensitive region {func.name!r}; a cache hit "
-                    "may substitute a language-equal machine with different "
-                    "bridge structure (the PR 2 history-dependent-answer bug)",
+                    "may substitute a language-equal machine with "
+                    "different bridge structure (answers would depend on "
+                    "cache history)",
                     hint="use the uncached, structure-faithful ops.product, "
                     "or suppress with a one-line soundness argument",
                 )
@@ -83,7 +87,7 @@ register_rule(
     Rule(
         name="cache-identity",
         codes=("L002",),
-        description="no signature-keyed cache ops in identity-sensitive regions",
+        description="no cache-keyed ops in identity-sensitive regions",
         check=_check,
     )
 )

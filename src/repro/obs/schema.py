@@ -76,7 +76,6 @@ OPERATIONS: frozenset[str] = frozenset({
     "left_quotient",
     "right_quotient",
     "inclusion_check",
-    "signature",
     "fst_image",
     "fst_preimage",
 })
@@ -113,7 +112,6 @@ SPANS: frozenset[str] = frozenset({
     "left_quotient",
     "right_quotient",
     "inclusion_check",
-    "signature",
     "check",
     "graph",
     "analyze",
@@ -140,7 +138,6 @@ COUNTERS: frozenset[str] = frozenset(
         "obs.spans_dropped",
         "cache.evictions",
         "cache.empty_shortcircuit",
-        "cache.signature_collisions",
         "check.pruned_nodes",
         "check.proved_unsat",
         "gci.combinations_total",
@@ -172,7 +169,6 @@ COUNTERS: frozenset[str] = frozenset(
 GAUGES: frozenset[str] = frozenset(
     {
         "cache.entries",
-        "cache.signature_collisions",
         "check.cost_ceiling",
         "parallel.chunk_skew",
         "parallel.utilization",

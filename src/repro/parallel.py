@@ -18,10 +18,9 @@ Three process-boundary rules keep the workers honest:
   write to (a copy of) the parent's cache, and parent sinks in a
   child process would silently swallow that child's telemetry.
 * **Per-worker caches.**  Each worker process owns one process-global
-  :class:`repro.cache.LangCache`, warm across tasks.  Dedupe keys
-  computed against it are canonical language digests
-  (:mod:`repro.cache`), identical across processes, so the parent can
-  mix worker keys with its own.
+  :class:`repro.cache.LangCache`, warm across tasks, as a memo for its
+  own kernels.  Workers ship solutions only; the parent's selector
+  keys them itself.
 * **Merged telemetry.**  When the parent is collecting, each task runs
   under its own :func:`repro.obs.collect` and returns the snapshot;
   the parent folds it into every active sink via
@@ -261,9 +260,7 @@ def _run_chunk(
     """Worker entry point: enumerate combinations ``[start, stop)``.
 
     Returns ``(results, obs snapshot or None)`` where each result is
-    ``(canonical index, dedupe key, [encoded machine per var node])``.
-    The dedupe key is a tuple of canonical language digests — process
-    independent, so the parent can use it directly.
+    ``(canonical index, [encoded machine per var node])``.
     """
     global _IN_WORKER, _worker_cache
     _IN_WORKER = True
@@ -287,16 +284,11 @@ def _run_chunk(
     results: list = []
 
     def run() -> None:
-        assert _worker_cache is not None
         for index, solution in gci._iter_candidates(
             state.prepared, state.limits, start, stop
         ):
-            key = tuple(
-                _worker_cache.signature(solution[node])
-                for node in state.prepared.var_nodes
-            )
             docs = [to_dict(solution[node]) for node in state.prepared.var_nodes]
-            results.append((index, key, docs))
+            results.append((index, docs))
 
     snapshot: Optional[dict[str, Any]] = None
     with _worker_cache.activate():
@@ -337,11 +329,10 @@ def _chunk_ranges(total: int, workers: int) -> list[tuple[int, int]]:
 
 def parallel_candidates(
     prepared, limits, workers: int
-) -> Iterator[tuple[int, Any, dict[Node, Nfa]]]:
+) -> Iterator[tuple[int, dict[Node, Nfa]]]:
     """The parallel stage-5 producer (the fan-out branch of
-    ``gci._candidates``): the in-process walk's ``(index, key,
-    solution)`` stream, same canonical order, work fanned out across
-    the pool.
+    ``gci._candidates``): the in-process walk's ``(index, solution)``
+    stream, same canonical order, work fanned out across the pool.
 
     Every chunk is submitted eagerly, in canonical order, and drained in
     the same order.  Each future is paired with its submit timestamp so
@@ -369,7 +360,7 @@ def _drain(
     prepared,
     ranges: list[tuple[int, int]],
     tasks: list[tuple[Future, float]],
-) -> Iterator[tuple[int, Any, dict[Node, Nfa]]]:
+) -> Iterator[tuple[int, dict[Node, Nfa]]]:
     # Decoded solutions re-use the parent's tag objects and alphabet;
     # tag identity inside a solution machine is cosmetic (the consumer
     # only compares languages), but sharing keeps reprs coherent.
@@ -408,12 +399,12 @@ def _drain(
                 obs.progress(
                     "gci_enumeration", walked, prepared.total_combinations
                 )
-            for index, key, docs in results:
+            for index, docs in results:
                 solution = {
                     node: from_dict(doc, tags, alphabet)
                     for node, doc in zip(prepared.var_nodes, docs)
                 }
-                yield index, key, solution
+                yield index, solution
     finally:
         for (start, stop), (future, _submitted) in zip(
             ranges[consumed:], tasks[consumed:]

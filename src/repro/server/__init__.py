@@ -1,7 +1,7 @@
 """``repro.server`` — the persistent solve daemon (``dprle serve``).
 
 See ``docs/SERVER.md`` for the protocol, batching and deadline
-semantics, and the persistent signature store that makes a restarted
+semantics, and the persistent memo store that makes a restarted
 daemon warm.  The pieces:
 
 * :mod:`repro.server.config` — :class:`ServerConfig`, every knob;

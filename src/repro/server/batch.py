@@ -5,7 +5,7 @@ through one :class:`Batcher`.  A single dispatcher coroutine pulls
 *batches* — up to ``max_batch`` jobs sharing a compatibility key,
 collected over a short ``batch_window`` — and executes each batch on
 one worker thread, under the shared language cache.  Batching is what
-lets a burst of requests over the same corpus amortize signature work
+lets a burst of requests over the same corpus amortize memoized work
 within one cache activation instead of interleaving arbitrarily.
 
 The compatibility key is ``(kind, workers)``: jobs in a batch must

@@ -27,7 +27,7 @@ class ServerConfig:
     #: TCP port; 0 lets the OS pick (the chosen port is printed on the
     #: ``listening on`` line, which tests and the CI smoke parse).
     port: int = 8765
-    #: Path of the persistent signature store
+    #: Path of the persistent memo store
     #: (:class:`repro.cache.store.SignatureStore`); None runs with the
     #: in-memory LRU only.
     cache_db: Optional[Path] = None

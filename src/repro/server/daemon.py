@@ -33,7 +33,7 @@ reads use the event loop's clock (``loop.time()``), keeping raw
 
 Shutdown (SIGTERM/SIGINT) is a drain, not a drop: stop accepting
 connections, let every already-read request finish and answer, run the
-queue dry, flush the signature store, then exit 0.
+queue dry, flush the memo store, then exit 0.
 """
 
 from __future__ import annotations

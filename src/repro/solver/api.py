@@ -59,7 +59,8 @@ class RegLangSolver:
         self._anon_counter = 0
         self._scopes: list[int] = []
         # One language cache for the solver's lifetime: incremental
-        # push/pop solves re-hit signatures computed by earlier solves.
+        # push/pop solves re-hit products and inclusion verdicts
+        # computed by earlier solves.
         self.cache = LangCache(cache if cache is not None else CacheLimits())
 
     # -- term construction ------------------------------------------------
@@ -168,7 +169,7 @@ class RegLangSolver:
 
         Every solve runs under the solver's language cache
         (``self.cache``), so repeated solves — the push/pop workflow —
-        reuse signatures and memoized automata across calls.  Construct
+        reuse memoized products and verdicts across calls.  Construct
         the solver with ``CacheLimits(enabled=False)`` to opt out.
         """
         from contextlib import ExitStack

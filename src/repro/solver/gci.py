@@ -50,8 +50,8 @@ on are fixed, and skips the whole subtree below a prefix that fails one.
 Candidate order is canonical (mixed-radix combination index, last tag
 fastest — exactly ``itertools.product`` order), so results are
 identical no matter how the space is chunked.  The selector
-(:func:`_select`) dedupes, prunes and caps; closing the producer early
-is its only way to stop the walk.
+(:func:`_select`) prunes and caps; closing the producer early is its
+only way to stop the walk.
 
 The output is a list of disjunctive solutions, each mapping the group's
 variable nodes to NFAs — one solution per surviving combination of
@@ -66,9 +66,9 @@ from typing import Any, Callable, Iterator, Optional
 from .. import obs
 from ..automata import bitset, ops
 from ..automata.dfa import determinize, minimize_nfa
-from ..automata.equivalence import equivalent, is_subset
+from ..automata.equivalence import is_subset
 from ..automata.nfa import BridgeTag, Nfa
-from ..cache import active_cache
+from ..cache import active_cache, struct_digest
 from ..constraints.depgraph import DepGraph, Node
 
 __all__ = ["GciLimits", "SolveLimitExceeded", "solve_group", "group_solutions"]
@@ -91,20 +91,21 @@ class GciLimits:
 
     The stage-5 selector has two regimes:
 
-    * *Streaming* — ``prune_subsumed=False`` or ``max_solutions == 1``:
-      candidates pass straight through (the paper's Sec. 3.5
-      first-solution behaviour), language duplicates dropped only when
-      ``dedupe`` is set.
+    * *Raw stream* — ``prune_subsumed=False`` or ``max_solutions ==
+      1``: candidates pass straight through (the paper's Sec. 3.5
+      first-solution behaviour), language duplicates included.
     * *Maximal frontier* — ``prune_subsumed`` (the Maximal property
       across a group's disjunctive solutions): each candidate is
       compared against a frontier of incumbent maxima as it arrives.
-      Pruning implies dedupe, whatever ``dedupe`` says: equal
-      candidates would otherwise subsume each other.  With
-      ``maximize=False`` the enumeration stops as soon as
-      ``max_solutions`` provably-unsubsumable solutions exist — so the
-      cap bounds work, not just output.  (With ``maximize=True`` a
-      later combination can still grow past an earlier one, so the full
-      space is consumed before the cap applies.)
+      A candidate structurally identical to an earlier one is dropped
+      outright; any other language duplicate is subsumed by the
+      incumbent that dominates its twin, so the frontier never holds
+      two equal solutions.  With ``maximize=False`` the enumeration
+      stops as soon as ``max_solutions`` provably-unsubsumable
+      solutions exist — so the cap bounds work, not just output.
+      (With ``maximize=True`` a later combination can still grow past
+      an earlier one, so the full space is consumed before the cap
+      applies.)
 
     ``workers`` fans the bridge-combination space out across a process
     pool (:mod:`repro.parallel`): ``0`` forces serial, ``None`` defers
@@ -129,7 +130,6 @@ class GciLimits:
 
     max_solutions: Optional[int] = None
     max_combinations: int = 100_000
-    dedupe: bool = True
     prune_subsumed: bool = True
     maximize: bool = True
     minimize_leaves: bool = False
@@ -277,17 +277,15 @@ class _PreparedGroup:
 
 def _candidates(
     prepared: "_PreparedGroup", limits: GciLimits
-) -> Iterator[tuple[int, Any, dict[Node, Nfa]]]:
+) -> Iterator[tuple[int, dict[Node, Nfa]]]:
     """The stage-5 producer: the group's viable candidates in canonical
-    order, as ``(combination index, dedupe key or None, solution)``.
+    order, as ``(combination index, solution)``.
 
-    A process-pool fan-out (:func:`repro.parallel.parallel_candidates`,
-    whose workers fill the key slot with language signatures) when
-    :func:`repro.parallel.resolve_workers` grants workers for this
-    space; otherwise the in-process walk, with the key left ``None``.
-    Either path accounts walked combinations into
-    ``gci.combinations_enumerated`` / ``gci.combinations_skipped``, also
-    when the selector closes it early.
+    A process-pool fan-out (:func:`repro.parallel.parallel_candidates`)
+    when :func:`repro.parallel.resolve_workers` grants workers for this
+    space; otherwise the in-process walk.  Either path accounts walked
+    combinations into ``gci.combinations_enumerated`` /
+    ``gci.combinations_skipped``, also when the selector closes it early.
     """
     from ..parallel import parallel_candidates, resolve_workers
 
@@ -297,10 +295,7 @@ def _candidates(
         return
     progress = [0]
     try:
-        for index, solution in _iter_candidates(
-            prepared, limits, 0, None, progress
-        ):
-            yield index, None, solution
+        yield from _iter_candidates(prepared, limits, 0, None, progress)
     finally:
         obs.increment_metric("gci.combinations_enumerated", progress[0])
         skipped = prepared.total_combinations - progress[0]
@@ -447,16 +442,16 @@ def _combo_at(
 def _select(
     prepared: "_PreparedGroup",
     limits: GciLimits,
-    candidates: Iterator[tuple[int, Any, dict[Node, Nfa]]],
+    candidates: Iterator[tuple[int, dict[Node, Nfa]]],
 ) -> Iterator[dict[Node, Nfa]]:
-    """The stage-5 selector: dedupe, subsumption, caps.
+    """The stage-5 selector: subsumption and caps.
 
     Two regimes over the producer's stream (see :class:`GciLimits`):
 
-    * ``prune_subsumed=False`` or ``max_solutions == 1`` — stream
-      candidates straight through (the paper's Sec. 3.5 first-solution
-      behaviour), deduping only when ``dedupe`` is set.
-    * otherwise an online *maximal frontier*, which always dedupes: a
+    * ``prune_subsumed=False`` or ``max_solutions == 1`` — the raw
+      stream (the paper's Sec. 3.5 first-solution behaviour).
+    * otherwise an online *maximal frontier*: a candidate whose tuple of
+      structural digests was seen before is dropped at once, any other
       candidate subsumed by an incumbent is dropped on arrival,
       incumbents subsumed by a new candidate leave the frontier, and —
       when ``maximize`` is off, so candidate languages are bounded by
@@ -465,32 +460,12 @@ def _select(
       any future combination (:func:`_member_is_safe`).
 
     The frontier's final content equals the survivors of the full
-    pairwise scan (domination is transitive, and dedupe guarantees no
-    symmetric ties), in canonical index order — so results are
+    pairwise scan, the earliest of equal candidates kept, in canonical
+    index order: domination is transitive, and an incumbent only ever
+    leaves for a superset, so a candidate equal to an earlier one is
+    subsumed by whichever member dominates that one.  Results are thus
     identical to eager enumerate-then-prune, only cheaper.
     """
-    cache = active_cache()
-    seen: set = set()
-    accepted: list[dict[Node, Nfa]] = []
-
-    def fresh(key: Any, solution: dict[Node, Nfa]) -> bool:
-        # Dedupe: with a language cache (or worker-computed keys) a
-        # signature-set membership test, else the pairwise equivalence
-        # scan against earlier fresh candidates.
-        if key is None and cache is not None:
-            key = tuple(
-                cache.signature(solution[node]) for node in prepared.var_nodes
-            )
-        if key is not None:
-            if key in seen:
-                return False
-            seen.add(key)
-            return True
-        if any(_pointwise_equivalent(solution, prior) for prior in accepted):
-            return False
-        accepted.append(solution)
-        return True
-
     safety: dict[int, bool] = {}
 
     def safe(index: int, member: dict[Node, Nfa]) -> bool:
@@ -501,30 +476,28 @@ def _select(
     try:
         cap = limits.max_solutions
         if not limits.prune_subsumed or cap == 1:
-            yielded = 0
-            for _, key, solution in candidates:
-                if limits.dedupe and not fresh(key, solution):
-                    continue
+            for yielded, (_, solution) in enumerate(candidates, 1):
                 yield solution
-                yielded += 1
                 if cap is not None and yielded >= cap:
                     return
             return
 
+        cache = active_cache()
+        digest = struct_digest if cache is None else cache.struct_key
+        seen: set[tuple[str, ...]] = set()
         frontier: list[tuple[int, dict[Node, Nfa]]] = []
-        for index, key, solution in candidates:
-            if not fresh(key, solution):
+        for index, solution in candidates:
+            key = tuple(digest(solution[node]) for node in prepared.var_nodes)
+            if key in seen:
                 continue
-            # is_subset is signature-memoized when a language cache is
-            # active, so this scan costs one inclusion check per distinct
-            # language pair rather than per solution pair.  Dedupe removed
-            # equal solutions, so pointwise ⊆ here means strictly smaller
-            # somewhere; symmetric ties cannot arise.
+            seen.add(key)
             if any(
                 _pointwise_subset(solution, incumbent)
                 for _, incumbent in frontier
             ):
                 continue
+            # Nothing in the frontier contains the candidate, so nothing
+            # it removes here is equal to it: ⊆ means strictly smaller.
             frontier = [
                 item
                 for item in frontier
@@ -557,9 +530,9 @@ def _member_is_safe(
     contained in each of its occurrence slices — which is why this is
     only sound with ``maximize`` off).  Tags with no adjacent variable
     occurrence cannot change variable languages at all: a combination
-    differing only there is a language-duplicate, which dedupe already
-    drops.  If every alternative everywhere is blocked, the member is
-    *safe* — it will survive the full enumeration.
+    differing only there is a language duplicate, which the frontier
+    drops as subsumed.  If every alternative everywhere is blocked, the
+    member is *safe* — it will survive the full enumeration.
     """
     chosen = _combo_at(prepared, index)
     for tag in prepared.tag_order:
@@ -642,8 +615,9 @@ def _prepare_group(
     # -- Stage 1: leaf machines, subset constraints first (invariant 1).
     # dprle-lint: identity-sensitive
     # Stage 1/2 machines carry the start/final structure the stage-4
-    # bridge images are read from; signature-keyed cache substitution
-    # here is the PR 2 bug (L002 enforces this — docs/LINTING.md).
+    # bridge images are read from; a cached or minimized substitute
+    # here makes answers depend on cache history (L002 enforces this —
+    # docs/LINTING.md).
     machines: dict[Node, Nfa] = {}
     for leaf in sorted(leaves, key=lambda n: n.name):
         if leaf.is_var:
@@ -654,10 +628,10 @@ def _prepare_group(
             # Uncached product, never ops.intersect: this machine's
             # start/final structure determines the stage-4 bridge images
             # (|finals(left)| × |starts(right)| ε-edges per concat), and
-            # a signature-keyed cache hit may substitute a language-equal
-            # machine with different structure — merging distinct
-            # crossings and dropping maximal disjuncts depending on what
-            # the cache happened to see first.
+            # a cache hit may substitute a language-equal machine with
+            # different structure — merging distinct crossings and
+            # dropping maximal disjuncts depending on what the cache
+            # happened to see first.
             base, _ = ops.product(base, const_machine(const_node))
             base = base.trim()
         if limits.minimize_leaves:
@@ -980,10 +954,6 @@ def _admissible(
             admissible = bitset.run(res, tracks, goal)
             memo[key] = admissible
     return admissible
-
-
-def _pointwise_equivalent(a: dict[Node, Nfa], b: dict[Node, Nfa]) -> bool:
-    return all(equivalent(machine, b[node]) for node, machine in a.items())
 
 
 def _pointwise_subset(a: dict[Node, Nfa], b: dict[Node, Nfa]) -> bool:

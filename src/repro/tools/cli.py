@@ -271,7 +271,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     serve_cmd.add_argument(
         "--cache-db", type=pathlib.Path, default=None, metavar="PATH",
-        help="persistent signature store (sqlite; docs/CACHING.md): "
+        help="persistent memo store (sqlite; docs/CACHING.md): "
         "cache state survives restarts and may be shared by replicas",
     )
     serve_cmd.add_argument(
@@ -512,9 +512,10 @@ def _run_solve(args: argparse.Namespace) -> int:
         return 2
 
     def body() -> int:
-        # Enumerating all solutions and printing each one minimized is
-        # the one front end the language cache pays for: dedupe keys,
-        # share intersections, minimal machines (docs/CACHING.md).
+        # Enumerating all solutions is the one front end the language
+        # cache pays for: the frontier's inclusion checks and the share
+        # intersections and caps repeat across candidates
+        # (docs/CACHING.md).
         with LangCache().activate():
             return _solve_and_print(args, problem)
 

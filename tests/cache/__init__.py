@@ -1,1 +1,1 @@
-"""Tests for the language-signature cache (:mod:`repro.cache`)."""
+"""Tests for the structure-keyed language cache (:mod:`repro.cache`)."""

@@ -72,7 +72,7 @@ class TestKernelPurity:
 
 
 class TestCacheIdentity:
-    """L002 must flag the PR 2 signature-substitution pattern."""
+    """L002 must flag the stage-1 cache-substitution pattern."""
 
     def test_prefix_stage1_intersect_flagged(self):
         findings = findings_for("cache_prefix_stage1.py", select=["L002"])
@@ -89,7 +89,7 @@ class TestCacheIdentity:
 
     def test_marker_required(self, tmp_path):
         # The same cached call outside a marked region is not L002's
-        # business — signature-keyed substitution is sound there.
+        # business — cache substitution is sound there.
         unmarked = tmp_path / "unmarked.py"
         unmarked.write_text(
             "def build(ops, a, b):\n    return ops.intersect(a, b)\n"

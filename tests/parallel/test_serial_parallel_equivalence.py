@@ -92,20 +92,20 @@ def test_fig9_unmaximized_and_capped_identical(workers):
 def test_adversarially_warmed_cache_identical(workers):
     """A parent cache warmed with unrelated-but-colliding machines must
     not perturb parallel results: workers use their own fresh caches,
-    the parent dedupes on canonical language digests either way."""
+    the parent keys candidates on structural digests either way."""
     problem = parse_problem((DATA / "wide.dprle").read_text())
     reference = solve(problem, limits=_limits(0))
 
     def warmed_cache() -> LangCache:
         cache = LangCache()
         with cache.activate():
-            # Touch signatures for machines the solve will also build,
+            # Memoize verdicts on machines the solve will also build,
             # from a different construction history.
             universal = Nfa.universal(AB)
             ops.intersect(universal, universal.copy())
             one = Nfa.literal("a", AB)
-            cache.signature(ops.intersect(universal, one))
-            cache.signature(one)
+            cache.is_subset(ops.intersect(universal, one), universal)
+            cache.is_subset(one, universal)
         return cache
 
     with warmed_cache().activate():

@@ -1,1 +1,1 @@
-"""Tests for the solve daemon and the persistent signature store."""
+"""Tests for the solve daemon and the persistent memo store."""

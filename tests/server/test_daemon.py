@@ -321,7 +321,7 @@ class TestPersistence:
             assert status == 200
             _, stats = second.request("GET", "/stats")
             store = stats["cache"]["store"]
-            # The repeated query answers from disk: signatures and
+            # The repeated query answers from disk: verdicts and
             # memoized machines come back, nothing is recomputed.
             assert store["hits"] > 0
             assert store["writes"] == 0

@@ -1,4 +1,4 @@
-"""Unit tests for the persistent signature store (repro.cache.store).
+"""Unit tests for the persistent memo store (repro.cache.store).
 
 The store's contract (docs/SERVER.md): durable across process
 restarts, safe under concurrent writers sharing one database file, and
@@ -13,7 +13,8 @@ import threading
 import pytest
 
 from repro import obs
-from repro.automata.equivalence import equivalent
+from repro.automata import ops
+from repro.automata.equivalence import equivalent, is_subset
 from repro.cache import CacheLimits, LangCache
 from repro.cache.store import PERSISTED_OPS, SCHEMA, SignatureStore, persistable
 
@@ -28,18 +29,18 @@ def db(tmp_path):
 class TestRoundTrip:
     def test_string_entries_survive_reopen(self, db):
         with SignatureStore(db) as store:
-            store.save(("sig", "struct:abc"), "deadbeef")
-            store.save(("subset", "lang", "a", "b"), "y")
+            store.save(("subset", "struct:abc"), "deadbeef")
+            store.save(("subset", "a", "b"), "y")
         with SignatureStore(db) as store:
-            assert store.load(("sig", "struct:abc")) == "deadbeef"
-            assert store.load(("subset", "lang", "a", "b")) == "y"
+            assert store.load(("subset", "struct:abc")) == "deadbeef"
+            assert store.load(("subset", "a", "b")) == "y"
 
     def test_machine_entries_survive_reopen(self, db):
         original = machine("a(b|c)*", ABC)
         with SignatureStore(db) as store:
-            store.save(("min", "somesig"), original)
+            store.save(("intersect", "somekey"), original)
         with SignatureStore(db) as store:
-            loaded = store.load(("min", "somesig"))
+            loaded = store.load(("intersect", "somekey"))
         assert loaded is not original
         assert language(loaded) == language(original)
 
@@ -48,21 +49,21 @@ class TestRoundTrip:
         # can have persisted these.
         store = SignatureStore(db, commit_every=10_000)
         for index in range(5):
-            store.save(("sig", f"s{index}"), f"v{index}")
+            store.save(("subset", f"s{index}"), f"v{index}")
         store.close()
         with SignatureStore(db) as reopened:
             assert reopened.entry_count() == 5
 
     def test_replace_updates_in_place(self, db):
         with SignatureStore(db) as store:
-            store.save(("sig", "k"), "old")
-            store.save(("sig", "k"), "new")
-            assert store.load(("sig", "k")) == "new"
+            store.save(("subset", "k"), "old")
+            store.save(("subset", "k"), "new")
+            assert store.load(("subset", "k")) == "new"
             assert store.entry_count() == 1
 
     def test_miss_returns_none_and_counts(self, db):
         with SignatureStore(db) as store:
-            assert store.load(("sig", "absent")) is None
+            assert store.load(("subset", "absent")) is None
             assert store.misses == 1
             assert store.hits == 0
 
@@ -90,12 +91,12 @@ class TestConcurrentWriters:
         # Replica sharing: two open stores (same file) interleaving
         # writes and reads, as two daemon replicas would.
         with SignatureStore(db) as left, SignatureStore(db) as right:
-            left.save(("sig", "from-left"), "L")
+            left.save(("subset", "from-left"), "L")
             left.flush()
-            assert right.load(("sig", "from-left")) == "L"
-            right.save(("sig", "from-right"), "R")
+            assert right.load(("subset", "from-left")) == "L"
+            right.save(("subset", "from-right"), "R")
             right.flush()
-            assert left.load(("sig", "from-right")) == "R"
+            assert left.load(("subset", "from-right")) == "R"
         with SignatureStore(db) as reopened:
             assert reopened.entry_count() == 2
 
@@ -106,8 +107,8 @@ class TestConcurrentWriters:
         def write_range(tag: str) -> None:
             try:
                 for index in range(50):
-                    store.save(("sig", f"{tag}:{index}"), tag)
-                    store.load(("sig", f"{tag}:{index}"))
+                    store.save(("subset", f"{tag}:{index}"), tag)
+                    store.load(("subset", f"{tag}:{index}"))
             except BaseException as error:  # pragma: no cover - fail below
                 errors.append(error)
 
@@ -131,19 +132,19 @@ class TestCorruptionTolerance:
         with SignatureStore(db) as store:
             assert store.entry_count() == 0
             assert store.recoveries == 1
-            store.save(("sig", "k"), "v")
-            assert store.load(("sig", "k")) == "v"
+            store.save(("subset", "k"), "v")
+            assert store.load(("subset", "k")) == "v"
 
     def test_truncated_db_opens_empty(self, db):
         with SignatureStore(db) as store:
             for index in range(32):
-                store.save(("sig", f"s{index}"), "x" * 512)
+                store.save(("subset", f"s{index}"), "x" * 512)
         db.write_bytes(db.read_bytes()[:100])
         with SignatureStore(db) as store:
             assert store.entry_count() == 0
-            store.save(("sig", "fresh"), "v")
+            store.save(("subset", "fresh"), "v")
         with SignatureStore(db) as store:
-            assert store.load(("sig", "fresh")) == "v"
+            assert store.load(("subset", "fresh")) == "v"
 
     def test_recovery_emits_counter(self, db, tmp_path):
         db.write_bytes(b"garbage" * 100)
@@ -154,7 +155,7 @@ class TestCorruptionTolerance:
 
     def test_foreign_schema_header_wipes_entries(self, db):
         with SignatureStore(db) as store:
-            store.save(("sig", "stale"), "v")
+            store.save(("subset", "stale"), "v")
         import sqlite3
 
         conn = sqlite3.connect(str(db))
@@ -175,15 +176,18 @@ class TestLangCacheIntegration:
         store = SignatureStore(db)
         warm = LangCache(CacheLimits(), store=store)
         with warm.activate():
-            sig = warm.signature(machine("a(b|c)*", ABC))
+            verdict = is_subset(machine("ab", ABC), machine("a(b|c)*", ABC))
         assert store.writes > 0
         store.flush()
 
         # A brand-new cache on the same store: LRU misses fall back.
         cold = LangCache(CacheLimits(), store=store)
         with cold.activate():
-            assert cold.signature(machine("a(b|c)*", ABC)) == sig
+            assert (
+                is_subset(machine("ab", ABC), machine("a(b|c)*", ABC)) == verdict
+            )
         assert store.hits > 0
+        assert cold.misses == {}
         store.close()
 
     def test_store_appears_in_cache_stats(self, db):
@@ -193,14 +197,14 @@ class TestLangCacheIntegration:
             assert summary["store"]["schema"] == SCHEMA
 
     def test_loaded_machines_are_language_equal(self, db):
-        original = machine("(ab)*c", ABC)
         store = SignatureStore(db)
         warm = LangCache(CacheLimits(), store=store)
         with warm.activate():
-            minimal = warm.minimize(original)
+            product = ops.intersect(machine("(ab)*c", ABC), machine("a*", ABC))
         store.flush()
         cold = LangCache(CacheLimits(), store=store)
         with cold.activate():
-            reloaded = cold.minimize(machine("(ab)*c", ABC))
-        assert equivalent(minimal, reloaded)
+            reloaded = ops.intersect(machine("(ab)*c", ABC), machine("a*", ABC))
+        assert cold.hits.get("intersect", 0) == 1
+        assert equivalent(product, reloaded)
         store.close()

@@ -66,7 +66,7 @@ def test_fixture_solves_identical_from_warm_store(tmp_path):
 
 def test_adversarially_warmed_store_identical(tmp_path):
     """Entries written through an unrelated construction history must
-    not perturb a solve that happens to share language signatures."""
+    not perturb a solve that happens to share structural digests."""
     problem = parse_problem((DATA / "wide.dprle").read_text())
     reference = solve(problem)
 
@@ -76,9 +76,9 @@ def test_adversarially_warmed_store_identical(tmp_path):
         universal = Nfa.universal(AB)
         ops.intersect(universal, universal.copy())
         one = Nfa.literal("a", AB)
-        warming.signature(ops.intersect(universal, one))
-        warming.signature(one)
-        warming.minimize(ops.intersect(universal, universal.copy()))
+        warming.is_subset(ops.intersect(universal, one), universal)
+        warming.is_subset(one, universal)
+        warming.intersect(ops.intersect(universal, universal.copy()), one)
     store.flush()
 
     with LangCache(CacheLimits(), store=store).activate():

@@ -98,7 +98,6 @@ def test_chain_k3_raw_walk_prunes_dead_prefixes():
     limits = GciLimits(
         maximize=False,
         prune_subsumed=False,
-        dedupe=False,
         max_combinations=1_000_000,
         workers=0,
     )

@@ -27,6 +27,30 @@ def run_group(*constraints: Subset, limits: GciLimits | None = None):
     return solve_group(graph, group, limits)
 
 
+def _dominated(candidates, i: int) -> bool:
+    """Is candidate ``i`` pointwise below another one, or equal to an
+    earlier one?"""
+    mine = candidates[i]
+    for j, other in enumerate(candidates):
+        if j != i and all(is_subset(mine[n], other[n]) for n in mine):
+            if j < i or not all(is_subset(other[n], mine[n]) for n in other):
+                return True
+    return False
+
+
+def _assert_frontier_is_eager_prune(graph, group, maximize: bool) -> None:
+    raw = list(
+        gci.group_solutions(
+            graph, group, GciLimits(prune_subsumed=False, maximize=maximize)
+        )
+    )
+    eager = [sol for i, sol in enumerate(raw) if not _dominated(raw, i)]
+    online = list(gci.group_solutions(graph, group, GciLimits(maximize=maximize)))
+    assert len(online) == len(eager) > 0
+    for want, got in zip(eager, online):
+        assert all(equivalent(want[n], got[n]) for n in want)
+
+
 def words(nfa, limit=30):
     return frozenset(enumerate_strings(nfa, limit=limit, max_length=12))
 
@@ -211,31 +235,25 @@ class TestLimits:
         assert caught.value.code == "D101"
         assert CODES["D101"][0] is Severity.ERROR
 
-    def test_dedupe_off_keeps_duplicates(self):
-        loose = GciLimits(dedupe=False, prune_subsumed=False, maximize=False)
-        strict = GciLimits(dedupe=True, prune_subsumed=False, maximize=False)
-        noisy = run_group(
-            Subset(Var("x").concat(Var("y")), _const("c", "a{4}")),
-            limits=loose,
-        )
-        clean = run_group(
-            Subset(Var("x").concat(Var("y")), _const("c", "a{4}")),
-            limits=strict,
-        )
-        assert len(noisy) >= len(clean)
-
+    # The online frontier has no dedupe step of its own: it must still
+    # return exactly the raw stream's survivors of a full pairwise scan,
+    # the earliest of equal candidates kept.
     @pytest.mark.parametrize("fixture", ["disjunctive.dprle", "wide.dprle"])
-    def test_dedupe_off_under_pruning_matches_default(self, fixture):
-        # Pruning implies dedupe: language-equal candidates must not
-        # subsume each other out of the result.
-        problem = parse_problem((DATA / fixture).read_text())
-        reference = solve(problem)
-        candidate = solve(problem, limits=GciLimits(dedupe=False))
-        assert len(candidate) == len(reference) > 0
-        for want, got in zip(reference, candidate):
-            assert want.variables() == got.variables()
-            for name in want.variables():
-                assert equivalent(want[name], got[name])
+    def test_frontier_equals_eager_prune(self, fixture):
+        graph, _ = build_graph(parse_problem((DATA / fixture).read_text()))
+        for group in graph.ci_groups():
+            _assert_frontier_is_eager_prune(graph, group, maximize=True)
+
+    @pytest.mark.parametrize("pattern", ["ab|ab*|b", "(a|aa)(b|bb)|ab"])
+    def test_raw_slice_frontier_equals_eager_prune(self, pattern):
+        # Unmaximized slices: later candidates subsumed by earlier ones.
+        problem = Problem(
+            [Subset(Var("x").concat(Var("y")), _const("c", pattern))],
+            alphabet=ABC,
+        )
+        graph, _ = build_graph(problem)
+        (group,) = graph.ci_groups()
+        _assert_frontier_is_eager_prune(graph, group, maximize=False)
 
     def test_prune_subsumed(self):
         # Without maximization the per-transition slices of this system
