@@ -245,7 +245,7 @@ def make_vulnerable_source(spec: VulnSpec, scale: float = 1.0) -> str:
     """Generate the PHP source for one Fig. 12 vulnerability.
 
     ``scale`` shrinks the |FG| / |C| targets proportionally (used by the
-    test suite; the benchmarks run at 1.0).
+    fast tests; the Fig. 12 reproduction and perfbench run at 1.0).
     """
     fg_target = max(5, round(spec.paper_fg * scale))
     c_target = max(3, round(spec.paper_c * scale))

@@ -1,8 +1,8 @@
-"""Compare two stats/benchmark JSON documents and gate on regressions.
+"""Compare two stats JSON documents and gate on regressions.
 
-``dprle obs diff A B --fail-over 20`` turns BENCH_solver.json (or any
-``--stats-json`` snapshot) into a CI gate: every shared numeric leaf of
-the two documents is compared, and if any gated metric regressed by
+``dprle obs diff A B --fail-over 20`` turns two ``--stats-json``
+snapshots (or any two JSON documents with numeric leaves) into a CI
+gate: every shared numeric leaf of the two documents is compared, and if any gated metric regressed by
 more than the threshold the diff *fails* (non-zero exit from the CLI).
 
 Leaves are classified as **time-like** (wall/CPU seconds — anything

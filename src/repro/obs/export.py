@@ -27,14 +27,13 @@ Two wire formats plus a human one:
 :func:`validate_chrome_trace` is a dependency-free structural
 validator for the trace document (the test suite round-trips exports
 through it), and :func:`render_report` prints the human summary behind
-``dprle obs report`` for both ``dprle.obs/*`` snapshots and
-``dprle.bench/1`` benchmark files.
+``dprle obs report`` for ``dprle.obs/*`` snapshots.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Any, Optional
+from typing import Any
 
 __all__ = [
     "to_prometheus",
@@ -245,11 +244,8 @@ def _format_seconds(value: float) -> str:
 
 
 def render_report(snapshot: dict[str, Any]) -> str:
-    """Render a human summary of a stats/benchmark JSON document."""
+    """Render a human summary of a stats JSON document."""
     schema = snapshot.get("schema", "?")
-    if str(schema).startswith("dprle.bench/"):
-        return _render_bench_report(snapshot)
-
     lines = [f"schema: {schema}"]
     if snapshot.get("truncated"):
         dropped = snapshot.get("spans_dropped", "?")
@@ -304,28 +300,3 @@ def render_report(snapshot: dict[str, Any]) -> str:
 
     return "\n".join(lines) + "\n"
 
-
-def _render_bench_report(snapshot: dict[str, Any]) -> str:
-    lines = [f"schema: {snapshot.get('schema')}"]
-    generated = snapshot.get("generated_unix")
-    if generated is not None:
-        lines.append(f"generated_unix: {generated}")
-    benchmarks: Any = snapshot.get("benchmarks") or {}
-    items = (
-        benchmarks.items()
-        if isinstance(benchmarks, dict)
-        else enumerate(benchmarks)
-    )
-    for key, entry in items:
-        if not isinstance(entry, dict):
-            continue
-        title: Optional[str] = entry.get("title")
-        lines.append("")
-        lines.append(f"[{key}] {title or ''}".rstrip())
-        data = entry.get("data")
-        payload = data if isinstance(data, dict) else entry
-        for name, value in sorted(payload.items()):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                continue
-            lines.append(f"  {name:<36} {value:g}")
-    return "\n".join(lines) + "\n"

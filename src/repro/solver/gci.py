@@ -65,7 +65,7 @@ from typing import Any, Callable, Iterator, Optional
 
 from .. import obs
 from ..automata import bitset, ops
-from ..automata.dfa import determinize, minimize_nfa
+from ..automata.dfa import determinize
 from ..automata.equivalence import is_subset
 from ..automata.nfa import BridgeTag, Nfa
 from ..cache import active_cache, struct_digest
@@ -132,7 +132,6 @@ class GciLimits:
     max_combinations: int = 100_000
     prune_subsumed: bool = True
     maximize: bool = True
-    minimize_leaves: bool = False
     workers: Optional[int] = None
     precheck: bool = False
 
@@ -634,9 +633,6 @@ def _prepare_group(
             # happened to see first.
             base, _ = ops.product(base, const_machine(const_node))
             base = base.trim()
-        if limits.minimize_leaves:
-            # dprle-lint: disable=L002 -- deliberate opt-in: collapsing leaf structure BEFORE any bridge tag exists is sound; the flag defaults off
-            base = minimize_nfa(base)
         machines[leaf] = base
 
     # -- Stage 2: temp machines bottom-up; every concatenation gets a

@@ -26,7 +26,6 @@ from typing import Optional
 
 from .. import obs
 from ..automata import ops
-from ..automata.dfa import minimize_nfa
 from ..automata.equivalence import is_subset
 from ..automata.nfa import Nfa
 from ..constraints.depgraph import DepGraph, Node, build_graph
@@ -131,8 +130,6 @@ def solve_graph(
                     machine = ops.intersect(
                         machine, graph.machine(const_node)
                     ).trim()
-                if limits.minimize_leaves and not machine.is_empty():
-                    machine = minimize_nfa(machine)
                 base[node.name] = machine
 
         # -- Stage 2: eliminate CI-groups via the worklist (lines 9-23).

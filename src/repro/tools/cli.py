@@ -25,9 +25,9 @@ equivalent.  Three subcommands:
 
 ``obs report|diff|export``
     Work with the stats JSON the other subcommands emit via
-    ``--stats-json`` (and with ``BENCH_solver.json``): render a human
-    summary, compare two runs with a regression gate (``--fail-over``),
-    or export to Prometheus text format / Chrome trace JSON.
+    ``--stats-json``: render a human summary, compare two runs with a
+    regression gate (``--fail-over``), or export to Prometheus text
+    format / Chrome trace JSON.
 
 ``solve``, ``check``, ``analyze``, and ``graph`` all take the same
 observability flags (``--stats-json``, ``--trace``, ``--journal``,
@@ -316,11 +316,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     obs_sub = obs_cmd.add_subparsers(dest="obs_command", required=True)
     report_cmd = obs_sub.add_parser(
-        "report", help="human summary of a stats or benchmark JSON"
+        "report", help="human summary of a stats JSON"
     )
     report_cmd.add_argument("file", type=pathlib.Path)
     diff_cmd = obs_sub.add_parser(
-        "diff", help="compare two stats/benchmark JSONs (CI regression gate)"
+        "diff", help="compare two stats JSONs (CI regression gate)"
     )
     diff_cmd.add_argument("base", type=pathlib.Path)
     diff_cmd.add_argument("other", type=pathlib.Path)

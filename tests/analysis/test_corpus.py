@@ -11,7 +11,14 @@ from repro.analysis import (
 )
 from repro.php import build_cfg, parse_php
 
-SCALE = 0.05  # keep unit tests fast; benchmarks run at 1.0
+SCALE = 0.05  # keep unit tests fast; tests/paper runs Fig. 12 at 1.0
+
+#: Paper Fig. 11: name -> (version, files, LOC, vulnerable files).
+PAPER_FIG11 = {
+    "eve": ("1.0", 8, 905, 1),
+    "utopia": ("1.3.0", 24, 5438, 4),
+    "warp": ("1.2.1", 44, 24365, 12),
+}
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +42,18 @@ class TestShape:
         targets = {"eve": 905, "utopia": 5438, "warp": 24365}
         for app in corpus:
             assert abs(app.loc - targets[app.name]) / targets[app.name] < 0.05
+
+    def test_fig11_table_at_paper_scale(self):
+        """The whole Fig. 11 table at scale 1.0: versions, file and
+        vulnerable-file counts exact, LOC within 5%."""
+        corpus = build_corpus()
+        assert [app.name for app in corpus] == list(PAPER_FIG11)
+        for app in corpus:
+            version, files, loc, vulnerable = PAPER_FIG11[app.name]
+            assert app.version == version
+            assert len(app.files) == files
+            assert len(app.vulnerable_files) == vulnerable
+            assert abs(app.loc - loc) / loc < 0.05
 
     def test_seventeen_vulnerability_specs(self):
         assert len(VULN_SPECS) == 17
@@ -64,7 +83,7 @@ class TestVulnerableFiles:
         for app in corpus:
             for item in app.vulnerable_files:
                 if item.spec is not None and item.spec.heavy:
-                    continue  # the outlier is exercised by the benchmarks
+                    continue  # the outlier is exercised by tests/paper
                 report = analyze_source(item.source, item.name)
                 assert report.vulnerable, f"{app.name}/{item.name}"
 

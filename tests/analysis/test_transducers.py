@@ -94,10 +94,17 @@ class TestSymexecIntegration:
 
 
 class TestEndToEnd:
+    """The extension's verdict table: the black-box (havoc) model
+    against the transducer model on three sanitizer shapes."""
+
     def test_escaping_proved_safe(self):
+        naive = analyze_source(
+            ESCAPED, "escaped.php", attack=UNESCAPED_QUOTE, transducers=False
+        )
         report = analyze_source(
             ESCAPED, "escaped.php", attack=UNESCAPED_QUOTE, transducers=True
         )
+        assert not naive.vulnerable
         assert not report.vulnerable
 
     def test_double_decode_found_only_with_transducers(self):
@@ -121,7 +128,15 @@ class TestEndToEnd:
         assert report.vulnerable
 
     def test_str_replace_sanitizer_proved_safe(self):
-        # Deleting quotes entirely defeats the quote-based attack.
+        # Deleting quotes entirely defeats the quote-based attack; the
+        # black-box model havocs the call and reports a false positive.
+        naive = analyze_source(
+            REPLACE_SANITIZER,
+            "replace.php",
+            attack=CONTAINS_QUOTE,
+            transducers=False,
+        )
+        assert naive.vulnerable
         report = analyze_source(
             REPLACE_SANITIZER,
             "replace.php",

@@ -100,7 +100,6 @@ class TestCacheIdentity:
     def test_gci_stage1_is_marked_and_clean(self):
         report = run_lint(["src/repro/solver/gci.py"], select=["L002"])
         assert report.findings == [], report.render()
-        assert report.suppressed >= 1  # the minimize_leaves opt-in
 
 
 class TestForkSafety:

@@ -158,19 +158,3 @@ class TestReport:
                     pass
         text = obs.render_report(collector.to_dict())
         assert "truncated" in text
-
-    def test_bench_schema_report(self):
-        bench = {
-            "schema": "dprle.bench/1",
-            "generated_unix": 1700000000,
-            "benchmarks": {
-                "solver_wide": {
-                    "title": "wide fan-out",
-                    "data": {"seconds": 1.25, "combinations": 640},
-                },
-            },
-        }
-        text = obs.render_report(bench)
-        assert "dprle.bench/1" in text
-        assert "solver_wide" in text
-        assert "combinations" in text

@@ -9,7 +9,7 @@ once (``gci.combinations_pruned``).
 
 import pathlib
 
-from repro import obs
+from repro import obs, parallel
 from repro.automata.equivalence import equivalent
 from repro.constraints import parse_problem
 from repro.constraints.depgraph import build_graph
@@ -47,6 +47,23 @@ class TestStreamingCap:
         assert (
             counters["gci.combinations_enumerated"]
             + counters["gci.combinations_skipped"]
+            == counters["gci.combinations_total"]
+        )
+
+    def test_fig9_max_solutions_one_across_a_pool(self, monkeypatch):
+        """Across a pool the cap is best-effort (chunks already in
+        flight complete, docs/PARALLELISM.md), so only the answer count
+        and the ledger identity are exact."""
+        monkeypatch.setattr(parallel, "MIN_PARALLEL_COMBINATIONS", 1)
+        with obs.collect() as collector:
+            result = solve(
+                _fig9(), max_solutions=1, limits=GciLimits(workers=2)
+            )
+        counters = _counters(collector)
+        assert len(result) == 1
+        assert (
+            counters["gci.combinations_enumerated"]
+            + counters.get("gci.combinations_skipped", 0)
             == counters["gci.combinations_total"]
         )
 

@@ -21,9 +21,8 @@ from repro.constraints import build_graph, parse_problem
 from repro.solver import SolveLimitExceeded, gci
 from repro.solver.gci import GciLimits
 
-from benchmarks.test_sec35_chain_scaling import chain_problem
-
 from .. import oracle
+from ..helpers import chain_problem
 from .strategies import machines
 from .test_prop_slices import rma_system
 

@@ -41,7 +41,23 @@ def _spawn(*extra):
         stderr=subprocess.STDOUT,
         text=True,
         env=_env(),
+        # Its own session, so _reap can take down the worker pool too.
+        start_new_session=True,
     )
+
+
+def _reap(process):
+    """SIGKILL the daemon's whole process group and collect its output.
+
+    A pool worker orphaned by killing only the daemon would hold the
+    stdout pipe open; the timeout turns any such leak into a failure
+    instead of a hang.
+    """
+    try:
+        os.killpg(process.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    process.communicate(timeout=30)
 
 
 def _await_port(process, timeout=30.0):
@@ -154,8 +170,7 @@ class TestSigtermDrain:
             assert "dprle serve: shutdown complete" in out
         finally:
             if process.poll() is None:
-                process.kill()
-                process.communicate()
+                _reap(process)
 
     def test_sigterm_idle_exits_promptly(self):
         process = _spawn()
@@ -167,8 +182,7 @@ class TestSigtermDrain:
             assert "dprle serve: shutdown complete" in out
         finally:
             if process.poll() is None:
-                process.kill()
-                process.communicate()
+                _reap(process)
 
 
 class TestRestartWarm:
@@ -191,8 +205,7 @@ class TestRestartWarm:
             assert first.returncode == 0, out
         finally:
             if first.poll() is None:
-                first.kill()
-                first.communicate()
+                _reap(first)
 
         second = _spawn("--cache-db", db)
         try:
@@ -216,5 +229,4 @@ class TestRestartWarm:
             assert second.returncode == 0, out
         finally:
             if second.poll() is None:
-                second.kill()
-                second.communicate()
+                _reap(second)

@@ -64,6 +64,7 @@ class TestMotivatingExample:
         assert solution.rhs.accepts("' OR 1=1 ; DROP news --9")
         assert solution.rhs.accepts("'9")
         assert not solution.rhs.accepts("99")  # no quote
+        assert not solution.rhs.accepts("123")
         assert not solution.rhs.accepts("'x")  # no trailing digit
 
     def test_witness_extraction(self):

@@ -6,9 +6,12 @@ combinations the walk settled by cutting a dead prefix are also counted
 as ``gci.combinations_pruned``.  Repeated runs report the same
 ``gci.*`` series, and the per-group slice/pair memos serve the repeated
 lookups of one enumeration (``gci.slice_memo_*``/``gci.pair_memo_*``).
-The Sec. 3.5 chain at k = 3 pins the raw walk's ledger.
+The Sec. 3.5 chain at k = 3 pins the raw walk's ledger, and the chain
+rows k = 1..3 pin the paper's claim that the first solution costs no
+more than all of them (O(Q³) against O(Q⁵) states visited).
 """
 
+import functools
 import pathlib
 
 import pytest
@@ -21,9 +24,18 @@ from repro.solver import solve
 from repro.constraints import build_graph
 from repro.solver.gci import GciLimits, group_solutions
 
-from benchmarks.test_sec35_chain_scaling import chain_problem
+from ..helpers import chain_problem
 
 DATA = pathlib.Path(__file__).parent.parent / "data"
+
+#: The raw walk: every viable candidate, with no maximization and no
+#: subsumption pruning.
+CHAIN_RAW = GciLimits(
+    maximize=False,
+    prune_subsumed=False,
+    max_combinations=1_000_000,
+    workers=0,
+)
 
 
 def _counters(fixture: str, max_solutions=None):
@@ -91,21 +103,15 @@ def test_memo_reuse_across_groups_in_one_solve():
 
 
 def test_chain_k3_raw_walk_prunes_dead_prefixes():
-    """The raw walk (the limits ``run_chain`` uses) of the Sec. 3.5
-    chain at k = 3: 813 viable candidates out of 14,850 combinations,
-    most of them settled by a cut prefix instead of a leaf."""
+    """The raw walk of the Sec. 3.5 chain at k = 3: 813 viable
+    candidates out of 14,850 combinations, most of them settled by a
+    cut prefix instead of a leaf."""
     graph, _ = build_graph(chain_problem(3))
-    limits = GciLimits(
-        maximize=False,
-        prune_subsumed=False,
-        max_combinations=1_000_000,
-        workers=0,
-    )
     with obs.collect() as collector:
         viable = sum(
             1
             for group in graph.ci_groups()
-            for _ in group_solutions(graph, group, limits)
+            for _ in group_solutions(graph, group, CHAIN_RAW)
         )
     counters = collector.metrics.snapshot()["counters"]
     assert viable == 813
@@ -115,3 +121,25 @@ def test_chain_k3_raw_walk_prunes_dead_prefixes():
         "gci.combinations_skipped", 0
     )
     assert 0 < counters["gci.combinations_pruned"] <= total
+
+
+@functools.cache
+def _chain_visits(k: int) -> tuple[int, int]:
+    """States visited by the raw walk of the chain at ``k``: for the
+    first solution only, and for all of them."""
+    problem = chain_problem(k)
+    with obs.collect() as first:
+        solve(problem, max_solutions=1, limits=CHAIN_RAW)
+    with obs.collect() as every:
+        solve(problem, limits=CHAIN_RAW)
+    return first.states_visited, every.states_visited
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_chain_first_solution_costs_no_more_than_all(k):
+    first, every = _chain_visits(k)
+    assert first <= every
+
+
+def test_chain_enumeration_cost_grows_with_length():
+    assert _chain_visits(3)[1] > _chain_visits(1)[1]

@@ -274,21 +274,6 @@ class TestLimits:
                 )
                 assert not dominated
 
-    def test_minimize_leaves_same_languages(self):
-        plain = run_group(
-            Subset(Var("x"), _const("c1", "a*|a*")),
-            Subset(Var("x").concat(Var("y")), _const("c3", "a*b")),
-        )
-        minimized = run_group(
-            Subset(Var("x"), _const("c1", "a*|a*")),
-            Subset(Var("x").concat(Var("y")), _const("c3", "a*b")),
-            limits=GciLimits(minimize_leaves=True),
-        )
-        assert len(plain) == len(minimized)
-        for left, right in zip(plain, minimized):
-            for node in left:
-                assert equivalent(left[node], right[node])
-
 
 class TestPruneTruncationRegression:
     """``max_solutions=N`` with ``prune_subsumed=True`` must return N

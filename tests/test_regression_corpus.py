@@ -15,6 +15,8 @@ from repro.constraints import parse_problem
 from repro.solver import solve
 from repro.solver.verify import check_assignment
 
+from .helpers import chain_problem
+
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
 # file -> (satisfiable, expected solution count or None, per-var membership
@@ -78,8 +80,6 @@ def test_all_data_files_covered():
 def test_sec35_chain_k2_is_satisfying_and_maximal():
     """The Sec. 3.5 chain at k = 2 under default limits: its one
     assignment is satisfying and exactly maximal."""
-    from benchmarks.test_sec35_chain_scaling import chain_problem
-
     problem = chain_problem(2)
     solutions = solve(problem)
     assert solutions.satisfiable
