@@ -238,7 +238,7 @@ def _refine_through_transducers(query: SinkQuery, assignment):
             return None
         if isinstance(source, Var):
             current = languages.get(source.name)
-            combined = pre if current is None else intersect(current, pre).trim()
+            combined = pre if current is None else intersect(current, pre)
             if combined.is_empty():
                 return None
             languages[source.name] = combined

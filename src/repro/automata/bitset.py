@@ -19,8 +19,8 @@ frontier propagation:
 * **Product** intersects edge labels by AND-ing precomputed minterm
   masks — one machine-word op replacing an interval-merge — while
   walking the pair worklist in a fixed LIFO order, so the output
-  structure (states, intern order, bridge tags, provenance) is a
-  function of the operands alone.
+  structure (states, intern order, bridge tags) is a function of the
+  operands alone; a backward walk then trims the output in place.
 * **Hopcroft** refines an integer partition array (element/location/
   block-index arrays with marked-prefix splitting and a smaller-half
   rule generalized to multi-way splits) over sparse per-state move
@@ -636,14 +636,15 @@ def minimize_dfa(dfa: Dfa) -> Dfa:
 # -- product ------------------------------------------------------------------
 
 
-def product(a: Nfa, b: Nfa) -> tuple[Nfa, dict[int, tuple[int, int]]]:
-    """Cross-product machine with its provenance map (see
-    :func:`repro.automata.ops.product`).
+def product(a: Nfa, b: Nfa) -> Nfa:
+    """Trimmed cross-product machine (see :func:`repro.automata.ops.product`).
 
     The GCI procedure reads bridge-crossing structure off the result,
     so the pair walk order below is part of the contract: pairs are
     popped LIFO, and from each pair the ε-edges of ``a``, then those of
     ``b``, then every labelled edge pair in edge order are expanded.
+    The walked machine is then trimmed in place, as :meth:`Nfa.trim`
+    would (same ids, edge order, starts, finals and next id).
     """
     space = _minterm_space(
         a.labels_from(a.states) + b.labels_from(b.states),
@@ -653,95 +654,109 @@ def product(a: Nfa, b: Nfa) -> tuple[Nfa, dict[int, tuple[int, int]]]:
     eps_b, chars_b = _edge_views(b, space)
 
     out = Nfa(a.alphabet)
-    ids: dict[tuple[int, int], int] = {}
-    provenance: dict[int, tuple[int, int]] = {}
-    worklist: list[tuple[int, int]] = []
+    # Pair ``(p, q)`` interns under ``p * width + q``; ids count from 0.
+    width = len(chars_b)
+    ids: dict[int, int] = {}
+    worklist: list[tuple[int, int, int]] = []
     charset = space.charset
     charsets_get = space._charsets.get
-    # Edges append straight onto the state rows (labels from the
-    # minterm space are non-empty by construction, states are
-    # interned just below — the add_transition guards cannot fire).
-    # State allocation (a counter bump plus an empty edge row) and
-    # edge construction (``tuple.__new__`` skips the NamedTuple
-    # argument-binding wrapper) are likewise inlined: this walk
-    # dominates product wall time.
+    # The add_transition guards cannot fire here (minterm labels are
+    # non-empty, states are interned first), so edges append straight
+    # onto the state rows (``tuple.__new__`` skips the NamedTuple
+    # wrapper), and the labelled-edge loop inlines interning too: this
+    # walk dominates product wall time.
     out_edges = out._edges
     ids_get = ids.get
     push = worklist.append
     new_edge = tuple.__new__
-    next_state = 0
 
-    for p in a.starts:
-        for q in b.starts:
-            pair = (p, q)
-            if ids_get(pair) is None:
-                out_edges[next_state] = []
-                ids[pair] = next_state
-                provenance[next_state] = pair
-                push((pair, next_state))
-                next_state += 1
-    out.starts = set(ids.values())
+    def intern(p: int, q: int) -> int:
+        key = p * width + q
+        state = ids_get(key)
+        if state is None:
+            state = ids[key] = len(out_edges)
+            out_edges[state] = []
+            push((p, q, state))
+        return state
+
+    out.starts = {intern(p, q) for p in a.starts for q in b.starts}
 
     # The LIFO pair walk, with the label intersection per edge pair
     # reduced to one minterm-mask AND.  Worklist entries carry the
     # interned id alongside the pair so popping needs no dict lookup.
-    pairs_visited = 0
     while worklist:
-        (p, q), src = worklist.pop()
+        p, q, src = worklist.pop()
         append = out_edges[src].append
-        pairs_visited += 1
         for dst, tag in eps_a[p]:
-            key = (dst, q)
-            state = ids_get(key)
-            if state is None:
-                state = next_state
-                out_edges[state] = []
-                ids[key] = state
-                provenance[state] = key
-                push((key, state))
-                next_state += 1
-            append(new_edge(Edge, (None, state, tag)))
+            append(new_edge(Edge, (None, intern(dst, q), tag)))
         for dst, tag in eps_b[q]:
-            key = (p, dst)
-            state = ids_get(key)
-            if state is None:
-                state = next_state
-                out_edges[state] = []
-                ids[key] = state
-                provenance[state] = key
-                push((key, state))
-                next_state += 1
-            append(new_edge(Edge, (None, state, tag)))
+            append(new_edge(Edge, (None, intern(p, dst), tag)))
         edges_b = chars_b[q]
         if edges_b:
             for mask_a, dst_a in chars_a[p]:
+                row = dst_a * width
                 for mask_b, dst_b in edges_b:
                     both = mask_a & mask_b
                     if both:
-                        key = (dst_a, dst_b)
-                        state = ids_get(key)
+                        state = ids_get(row + dst_b)
                         if state is None:
-                            state = next_state
+                            state = ids[row + dst_b] = len(out_edges)
                             out_edges[state] = []
-                            ids[key] = state
-                            provenance[state] = key
-                            push((key, state))
-                            next_state += 1
+                            push((dst_a, dst_b, state))
                         label = charsets_get(both)
                         if label is None:
                             label = charset(both)
                         append(new_edge(Edge, (label, state, None)))
-    out._next_state = next_state
-    obs.visit_states(pairs_visited)
+    out._next_state = len(out_edges)
+    obs.visit_states(len(out_edges))  # every interned pair is popped once
 
     a_finals = a.finals
     b_finals = b.finals
     out.finals = {
         state
-        for state, (p, q) in provenance.items()
-        if p in a_finals and q in b_finals
+        for key, state in ids.items()
+        if key // width in a_finals and key % width in b_finals
     }
-    return out, provenance
+    _drop_dead(out)
+    return out
+
+
+def _drop_dead(machine: Nfa) -> None:
+    """Trim, in place, a machine whose states ``0 .. n-1`` are all
+    reachable: drop the states no final is reachable from and the edges
+    into them (a dead start keeps an empty row, last, as in a trim).
+    The reverse index holds a state's first predecessor (-1 for none)
+    in ``first``, any others in ``more``."""
+    edges = machine._edges
+    size = len(edges)
+    first = [-1] * size
+    more: dict[int, list[int]] = {}
+    for src in range(size):
+        for _, dst, _ in edges[src]:
+            if first[dst] < 0:
+                first[dst] = src
+            else:
+                more.setdefault(dst, []).append(src)
+    live = set(machine.finals)
+    stack = sorted(live)
+    while stack:
+        state = stack.pop()
+        for pred in more.get(state, ()):
+            if pred not in live:
+                live.add(pred)
+                stack.append(pred)
+        pred = first[state]
+        if pred >= 0 and pred not in live:
+            live.add(pred)
+            stack.append(pred)
+    if len(live) < size:
+        for state in range(size):
+            if state not in live:
+                del edges[state]
+            elif any(dst not in live for _, dst, _ in edges[state]):
+                edges[state] = [edge for edge in edges[state] if edge.dst in live]
+        for state in machine.starts - live:
+            edges[state] = []
 
 
 # -- residual DFAs and the universal quotients --------------------------------

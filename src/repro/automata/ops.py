@@ -182,56 +182,47 @@ def _eliminate_epsilon_instrumented(a: Nfa) -> Nfa:
         return out
 
 
-def product(a: Nfa, b: Nfa) -> tuple[Nfa, dict[int, tuple[int, int]]]:
-    """Cross-product machine for ``L(a) ∩ L(b)`` (paper Fig. 3, line 7).
+def product(a: Nfa, b: Nfa) -> Nfa:
+    """Trimmed cross-product machine for ``L(a) ∩ L(b)`` (Fig. 3, l. 7-8).
 
     ε-transitions are handled asynchronously: from pair ``(p, q)`` an
     ε-edge of either component moves that component alone, carrying its
-    bridge tag with it.  Returns the machine together with the state
-    provenance map ``product state -> (a state, b state)``.
-
-    Only pairs reachable from the start pairs are constructed; this is
-    what the paper's state-visit cost model counts.
+    bridge tag with it.  Only pairs reachable from the start pairs are
+    constructed, which is what the paper's state-visit cost model
+    counts, and only the live ones are kept (the reachable product
+    after :meth:`Nfa.trim`): the machine the GCI slices read.
     """
     obs.count_operation("product")
     if a.alphabet != b.alphabet:
         raise ValueError("cannot intersect machines over different alphabets")
     if a.is_empty() or b.is_empty():
-        # A structurally empty operand (no reachable final) makes the
-        # intersection empty without visiting a single pair.  The result
-        # is structure-faithful for every downstream consumer: an empty
-        # machine contributes no finals (and hence no bridge crossings)
-        # to later concatenations, exactly like the empty pair product
-        # would.
+        # A structurally empty operand (no reachable final) decides the
+        # intersection without visiting a pair.  Like the trimmed empty
+        # product, the result has no edges, no finals and so no bridge
+        # crossings in later concatenations.
         obs.increment_metric("cache.empty_shortcircuit")
-        return Nfa.never(a.alphabet), {}
-    with obs.span(
-        "product", states_a=a.num_states, states_b=b.num_states
-    ) as sp:
-        out, provenance = bitset.product(a, b)
+        return Nfa.never(a.alphabet)
+    with obs.span("product", states_a=a.num_states, states_b=b.num_states) as sp:
+        out = bitset.product(a, b)
         sp.set("states_out", out.num_states)
-        return out, provenance
+        return out
 
 
 def intersect(a: Nfa, b: Nfa) -> Nfa:
-    """Machine for ``L(a) ∩ L(b)`` when provenance is not needed.
+    """Machine for ``L(a) ∩ L(b)`` when only its language matters.
 
-    This provenance-free path is memoized by the active language cache
-    under the operands' tag-blind structural digests (``product`` itself
-    never is: its provenance map and tag images are structure-sensitive).
-    The result is therefore only *language*-faithful: a cache hit may
-    return a machine with different bridge tags, or the product of the
-    operands in the other order.  Callers
-    that go on to read structure off the result — bridge-image scanning,
-    the GCI stage-1/stage-2 machine construction — must call
-    :func:`product` directly instead.
+    Memoized by the active language cache under the operands' tag-blind
+    structural digests, so a hit may return a machine with different
+    bridge tags, or the product of the operands in the other order.
+    Callers that read structure off the result — bridge-image scanning,
+    the GCI stage-1/stage-2 machines — must call :func:`product`, which
+    the cache never substitutes.
     """
     obs.count_operation("intersect")
     cache = active_cache()
     if cache is not None:
         return cache.intersect(a, b)
-    machine, _ = product(a, b)
-    return machine
+    return product(a, b)
 
 
 def difference(a: Nfa, b: Nfa) -> Nfa:

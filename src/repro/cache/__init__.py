@@ -18,7 +18,7 @@ equal languages; the converse does not hold, and nothing here pays a
 determinization to find language-equal machines of different
 structure.
 
-What is memoized is exactly what the workloads hit: provenance-free
+What is memoized is exactly what the workloads hit:
 :meth:`LangCache.intersect`, :meth:`LangCache.is_subset` verdicts
 (``equivalent`` is two of them), :meth:`LangCache.minimize` (the
 rendering of every answer, which a daemon repeats) and
@@ -45,10 +45,10 @@ Caveats (see ``docs/CACHING.md``):
   differ from the ones a fresh computation would carry (and a machine
   loaded from the persistent store carries freshly minted tags).  The
   structure-sensitive GCI paths therefore never go through the cache:
-  :func:`~repro.automata.ops.product` (with or without provenance) and
-  the stage-1/stage-2 machine construction in ``gci._prepare_group``
-  call the uncached product directly, because the bridge images
-  enumerated in stage 4 are read off those machines' tagged edges.
+  :func:`~repro.automata.ops.product` and the stage-1/stage-2
+  machine construction in ``gci._prepare_group`` call the uncached
+  product directly, because the bridge images enumerated in stage 4
+  are read off those machines' tagged edges.
   Cached ``intersect`` is reserved for purely language-level uses
   (share intersection in ``_share_intersection``, maximization caps).
 * Mutating a machine *after* the cache has fingerprinted it is detected
@@ -297,7 +297,7 @@ class LangCache:
         )
 
     def intersect(self, a: "Nfa", b: "Nfa") -> "Nfa":
-        """Memoized provenance-free intersection (commutative key)."""
+        """Memoized intersection (commutative key)."""
         from ..automata.ops import product
 
         if a.alphabet != b.alphabet:
@@ -305,7 +305,7 @@ class LangCache:
         key = ("intersect",) + tuple(
             sorted((self.struct_key(a), self.struct_key(b)))
         )
-        return self._memoized("intersect", key, lambda: product(a, b)[0])
+        return self._memoized("intersect", key, lambda: product(a, b))
 
     def is_subset(self, a: "Nfa", b: "Nfa") -> bool:
         """Memoized inclusion: the lazy on-the-fly check (no forced

@@ -266,8 +266,7 @@ class _DslParser:
             # the GCI bridge-image scan, whose structure must not depend
             # on whether a language cache happened to be active at parse
             # time (each chain is parsed once, so caching buys nothing).
-            machine, _ = ops.product(machine, self.parse_const_chain())
-            machine = machine.trim()
+            machine = ops.product(machine, self.parse_const_chain())
         return machine
 
     def parse_const_chain(self):

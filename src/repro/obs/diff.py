@@ -34,7 +34,7 @@ from typing import Any, Optional
 
 __all__ = ["DiffEntry", "DiffResult", "diff_snapshots"]
 
-# Leaves that are identity/provenance, not measurements.
+# Leaves that identify a run or its host, not measurements.
 _SKIP_SEGMENTS = frozenset(
     {"schema", "generated_unix", "wall_unix", "python", "repro_version", "pid"}
 )

@@ -74,28 +74,23 @@ def concat_intersect(
         m2 = ops.eliminate_epsilon(c2).normalized()
         m3 = ops.eliminate_epsilon(c3)
         m4 = ops.concat(m1, m2, tag)  # Fig. 3 line 6
-        m5, _ = ops.product(m4, m3)  # Fig. 3 lines 7-8
-        m5 = m5.trim()
+        m5 = ops.product(m4, m3)  # Fig. 3 lines 7-8, trimmed
         sp.set("product_states", m5.num_states)
 
         solutions: list[CiSolution] = []
-        for src, edge in sorted(
-            m5.edges(), key=lambda item: (item[0], item[1].dst)
+        for src, dst in sorted(
+            (src, edge.dst) for src, edge in m5.edges() if edge.tag is tag
         ):
-            if edge.tag is not tag:
-                continue
             lhs = m5.restricted(m5.starts, {src})  # induce_from_final(M5, qa)
-            rhs = m5.restricted({edge.dst}, m5.finals)  # induce_from_start(M5, qb)
-            if not lhs.finals or not rhs.finals:  # an empty restriction
-                continue
+            rhs = m5.restricted({dst}, m5.finals)  # induce_from_start(M5, qb)
             if maximize:
-                rhs = ops.intersect(c2, ops.left_quotient(lhs, c3)).trim()
-                lhs = ops.intersect(c1, ops.right_quotient(c3, rhs)).trim()
+                rhs = ops.intersect(c2, ops.left_quotient(lhs, c3))
+                lhs = ops.intersect(c1, ops.right_quotient(c3, rhs))
             if dedupe and any(
                 equivalent(lhs, existing.lhs) and equivalent(rhs, existing.rhs)
                 for existing in solutions
             ):
                 continue
-            solutions.append(CiSolution(lhs, rhs, (src, edge.dst)))
+            solutions.append(CiSolution(lhs, rhs, (src, dst)))
         sp.set("solutions", len(solutions))
         return solutions

@@ -631,8 +631,7 @@ def _prepare_group(
             # different structure — merging distinct crossings and
             # dropping maximal disjuncts depending on what the cache
             # happened to see first.
-            base, _ = ops.product(base, const_machine(const_node))
-            base = base.trim()
+            base = ops.product(base, const_machine(const_node))
         machines[leaf] = base
 
     # -- Stage 2: temp machines bottom-up; every concatenation gets a
@@ -645,8 +644,7 @@ def _prepare_group(
         tags[temp] = tag
         machine = ops.concat(machines[pair.left], machines[pair.right], tag)
         for const_node in graph.inbound_subsets(temp):
-            machine, _ = ops.product(machine, const_machine(const_node))
-            machine = machine.trim()
+            machine = ops.product(machine, const_machine(const_node))
         machines[temp] = machine
 
     # -- Stage 3: top machines and the leaf occurrences inside them.
@@ -676,14 +674,17 @@ def _prepare_group(
     }
     for top in tops:
         machine = machines[top]
-        live = machine.live_states()
-        for src, edge in sorted(
-            machine.edges(), key=lambda item: (item[0], item[1].dst)
-        ):
-            if edge.tag is None or edge.tag not in edges_by_tag:
-                continue
-            if src in live and edge.dst in live:
-                edges_by_tag[edge.tag].append((src, edge.dst))
+        # Products come out trimmed; a bare concatenation is dead where
+        # an operand's language is empty, so it keeps the live filter.
+        live = None if graph.inbound_subsets(top) else machine.live_states()
+        tagged = [
+            (src, edge.dst, edge.tag)
+            for src, edge in machine.edges()
+            if edge.tag in edges_by_tag
+            and (live is None or (src in live and edge.dst in live))
+        ]
+        for src, dst, tag in sorted(tagged, key=lambda item: item[:2]):
+            edges_by_tag[tag].append((src, dst))
 
     tag_order = [tag for top in tops for tag in tags_by_top[top]]
     for tag in tag_order:
@@ -734,7 +735,7 @@ def _share_intersection(
 
     ``keys`` are the slice-memo keys ``(occ index, start edge, final
     edge)`` of the variable's occurrences, in occurrence order; the
-    slices are intersected left to right, trimming after each step.
+    slices are intersected left to right (every product is trimmed).
     The memoized machine is shared, so callers must ``copy()`` before
     handing it out as part of a solution.  ``None`` means the
     intersection is empty.
@@ -750,7 +751,7 @@ def _share_intersection(
         if result is None or piece is None:
             result = None
             break
-        result = ops.intersect(result, piece).trim()
+        result = ops.intersect(result, piece)
     if result is not None and result.is_empty():
         result = None
     # dprle-lint: disable=L001 -- pair_memo is a documented out-param accumulator, not machine state
@@ -887,7 +888,7 @@ def _maximize_solution(
                     admissible = _admissible(
                         prepared, spec_index, idx, current
                     )
-                    cap = ops.intersect(cap, admissible).trim()
+                    cap = ops.intersect(cap, admissible)
         current[var] = cap
     return current
 

@@ -195,7 +195,7 @@ def addable_strings(
             allowed = ops.left_quotient(
                 left, ops.right_quotient(constraint.rhs.machine, right)
             )
-            admissible = ops.intersect(admissible, allowed).trim()
+            admissible = ops.intersect(admissible, allowed)
     return admissible, exact
 
 

@@ -127,9 +127,7 @@ def solve_graph(
                     continue
                 machine = Nfa.universal(graph.alphabet)
                 for const_node in graph.inbound_subsets(node):
-                    machine = ops.intersect(
-                        machine, graph.machine(const_node)
-                    ).trim()
+                    machine = ops.intersect(machine, graph.machine(const_node))
                 base[node.name] = machine
 
         # -- Stage 2: eliminate CI-groups via the worklist (lines 9-23).

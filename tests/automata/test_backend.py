@@ -2,8 +2,8 @@
 
 The bitset kernels must be *observationally identical* to the
 straightforward set-based constructions (see docs/BACKENDS.md):
-determinize and product are pinned structure-identical (same states,
-numbering, edges, bridge tags, provenance), Hopcroft language-equal
+determinize and the trimmed product are pinned structure-identical
+(same states, numbering, edges, bridge tags), Hopcroft language-equal
 with the same minimal state count, the residual passes mask-identical,
 and both universal quotients language-equal to the constructions they
 replaced.
@@ -50,21 +50,20 @@ class TestKernelEquivalence:
         bit = bitset.determinize(m)
         assert serialize.to_dict(ref.to_nfa()) == serialize.to_dict(bit.to_nfa())
 
-    def test_product_structure_and_provenance_identical(self):
+    def test_product_structure_identical(self):
         ms = _sample_machines()
         for a in ms[:3]:
             for b in ms[:3]:
-                ref, prov_ref = oracle.product(a, b)
-                bit, prov_bit = bitset.product(a, b)
+                ref = oracle.product(a, b)
+                bit = bitset.product(a, b)
                 assert serialize.to_dict(ref) == serialize.to_dict(bit)
-                assert prov_ref == prov_bit
 
     def test_product_preserves_bridge_tags(self):
         # concat() introduces tagged ε-bridges; the product must copy
         # them verbatim (GCI reads bridge structure off the product).
         a = concat(Nfa.literal("a", AB), Nfa.literal("b", AB))
-        bit, _ = bitset.product(a, Nfa.universal(AB))
-        ref, _ = oracle.product(a, Nfa.universal(AB))
+        bit = bitset.product(a, Nfa.universal(AB))
+        ref = oracle.product(a, Nfa.universal(AB))
         tags = lambda m: [
             (src, edge.dst, edge.tag)
             for src in sorted(m.states)
@@ -98,10 +97,9 @@ class TestKernelEquivalence:
         assert serialize.to_dict(oracle.determinize(a).to_nfa()) == serialize.to_dict(
             bitset.determinize(a).to_nfa()
         )
-        ref, prov_ref = oracle.product(a, b)
-        bit, prov_bit = bitset.product(a, b)
+        ref = oracle.product(a, b)
+        bit = bitset.product(a, b)
         assert serialize.to_dict(ref) == serialize.to_dict(bit)
-        assert prov_ref == prov_bit
         mr = oracle.minimize_dfa(oracle.determinize(a))
         mb = bitset.minimize_dfa(bitset.determinize(a))
         assert mr.num_states == mb.num_states

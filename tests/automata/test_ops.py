@@ -5,6 +5,7 @@ import pytest
 from repro import obs
 from repro.automata import BridgeTag, CharSet, Nfa, ops
 
+from .. import oracle
 from ..helpers import ABC, language, machine
 
 
@@ -79,13 +80,15 @@ class TestProduct:
     def test_disjoint_intersection_empty(self):
         assert ops.intersect(machine("a+"), machine("b+")).is_empty()
 
-    def test_provenance_map(self):
-        left = Nfa.literal("a", ABC)
-        right = Nfa.literal("a", ABC)
-        result, provenance = ops.product(left, right)
-        assert set(provenance) == set(result.states)
-        for state, (p, q) in provenance.items():
-            assert p in left.states and q in right.states
+    def test_product_is_trimmed(self):
+        # ``a·(b|c)`` against ``ab|ac*d`` reaches pairs no final follows.
+        left = machine("a(b|c)")
+        right = machine("ab|ac*d")
+        with obs.collect() as collector:
+            result = ops.product(left, right)
+        assert collector.states_visited > result.num_states
+        assert language(result) == {"ab"}
+        assert oracle.structure(result.trim()) == oracle.structure(result)
 
     def test_epsilon_asynchronous(self):
         # A machine with internal ε still intersects correctly.
@@ -96,17 +99,21 @@ class TestProduct:
     def test_bridge_tag_propagates_through_product(self):
         tag = BridgeTag("t")
         bridged = ops.concat(Nfa.literal("a", ABC), Nfa.literal("b", ABC), tag)
-        result, _ = ops.product(bridged, machine("ab"))
+        result = ops.product(bridged, machine("ab"))
         tagged = [e for _, e in result.edges() if e.tag is tag]
         assert tagged, "bridge images must survive the product"
 
     def test_only_reachable_pairs_built(self):
         left = machine("a")
         right = machine("b")
-        result, _ = ops.product(left, right)
-        # Nothing is co-reachable, but the explored pairs are bounded by
-        # reachability, not the full cross product.
-        assert result.num_states <= left.num_states * right.num_states
+        with obs.collect() as collector:
+            result = ops.product(left, right)
+        # The walk is bounded by reachability, not the full cross
+        # product, and nothing it reaches is co-reachable, so the trim
+        # keeps only the start pairs.
+        assert collector.states_visited <= left.num_states * right.num_states
+        assert result.is_empty()
+        assert result.num_states == len(result.starts)
 
 
 class TestDifferenceReverse:

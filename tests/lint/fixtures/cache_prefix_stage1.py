@@ -29,7 +29,6 @@ def prepare_leaves_fixed(graph, group, ops):
     for leaf in sorted(group, key=lambda n: n.name):
         base = graph.machine(leaf)
         for const_node in graph.inbound_subsets(leaf):
-            base, _ = ops.product(base, graph.machine(const_node))
-            base = base.trim()
+            base = ops.product(base, graph.machine(const_node))
         machines[leaf] = base
     return machines

@@ -84,7 +84,7 @@ class TestCacheIdentity:
 
     def test_fixed_stage1_product_clean(self):
         findings = findings_for("cache_prefix_stage1.py", select=["L002"])
-        # The post-fix function uses ops.product + trim: nothing flagged.
+        # The post-fix function uses the uncached ops.product: nothing flagged.
         assert not any("prepare_leaves_fixed" in f.message for f in findings)
 
     def test_marker_required(self, tmp_path):

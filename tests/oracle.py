@@ -11,8 +11,8 @@ slow and obviously correct, and the production kernels in
 :class:`~repro.automata.nfa.Nfa` are tested against them:
 
 * ``determinize`` and ``product`` must agree *structurally*: same
-  states in the same numbering, same edges, labels, bridge tags and
-  provenance;
+  states in the same numbering, same edges, labels and bridge tags
+  (the product is the reachable pair machine after :func:`trim`);
 * ``minimize_dfa`` must agree on the language and the minimal size,
   and both number the result canonically, so the machines are equal;
 * ``post``, ``pre`` and ``run`` must agree exactly: the same state
@@ -229,17 +229,15 @@ def minimize_dfa(dfa: Dfa) -> Dfa:
     return Dfa(dfa.alphabet, canonical, 0, {order[member[s]] for s in finals})
 
 
-def product(a: Nfa, b: Nfa) -> tuple[Nfa, dict[int, tuple[int, int]]]:
+def product(a: Nfa, b: Nfa) -> Nfa:
     out = Nfa(a.alphabet)
     ids: dict[tuple[int, int], int] = {}
-    provenance: dict[int, tuple[int, int]] = {}
     worklist: list[tuple[int, int]] = []
 
     def intern(pair: tuple[int, int]) -> int:
         if pair not in ids:
             state = out.add_state()
             ids[pair] = state
-            provenance[state] = pair
             worklist.append(pair)
         return ids[pair]
 
@@ -271,10 +269,10 @@ def product(a: Nfa, b: Nfa) -> tuple[Nfa, dict[int, tuple[int, int]]]:
 
     out.finals = {
         state
-        for state, (p, q) in provenance.items()
+        for (p, q), state in ids.items()
         if p in a.finals and q in b.finals
     }
-    return out, provenance
+    return trim(out)
 
 
 def left_quotient(prefixes: Nfa, language: Nfa) -> Nfa:
@@ -514,8 +512,7 @@ def trim(nfa: Nfa) -> Nfa:
     live = nfa.reachable_from(nfa.starts) & coreachable
     clone = Nfa(nfa.alphabet)
     clone._next_state = nfa._next_state
-    keep = live | set(nfa.starts)
-    for state in keep:
+    for state in sorted(live | set(nfa.starts)):
         clone._edges[state] = [
             edge
             for edge in nfa.out_edges(state)

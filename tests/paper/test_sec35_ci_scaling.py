@@ -33,7 +33,7 @@ def _ci_cost(q: int) -> tuple[int, int, int]:
     c3 = random_nfa(q, seed=q * 3 + 3)
     with obs.collect() as cost:
         solutions = concat_intersect(c1, c2, c3)
-    m5, _ = ops.product(ops.concat(c1, c2), c3)
+    m5 = ops.product(ops.concat(c1, c2), c3)
     return cost.states_visited, m5.num_states, len(solutions)
 
 

@@ -4,8 +4,10 @@ import pathlib
 
 import pytest
 
+from repro import obs
 from repro.automata import enumerate_strings, equivalent, is_subset, ops
 from repro.constraints import Node, Subset, Var, build_graph, parse_problem
+from repro.constraints.depgraph import DepGraph
 from repro.constraints.terms import ConcatTerm, Const, Problem
 from repro.check.diagnostics import CODES, Severity
 from repro.solver import GciLimits, SolveLimitExceeded, gci, solve, solve_group
@@ -409,3 +411,38 @@ class TestMaximizeOnePass:
                 assert again.keys() == solution.keys()
                 for node, grown in again.items():
                     assert equivalent(grown, solution[node]), (fixture, node)
+
+
+class TestBareConcatTop:
+    """A top with no inbound constant is a bare ``ops.concat``, never a
+    product, so it is not trimmed: stage 4 must keep its live filter.
+    ``build_graph`` always puts a constant on a top, so these graphs are
+    built by hand."""
+
+    @staticmethod
+    def _solve(*patterns: str):
+        graph = DepGraph(ABC)
+        x, y = graph.var_node("x"), graph.var_node("y")
+        graph.add_concat(x, y)
+        for index, pattern in enumerate(patterns):
+            graph.add_subset(graph.const_node(_const(f"c{index}", pattern)), y)
+        (group,) = graph.ci_groups()
+        with obs.collect() as collector:
+            solutions = solve_group(graph, group)
+        counters = collector.metrics.snapshot()["counters"]
+        return solutions, counters.get("gci.combinations_total", 0)
+
+    def test_empty_right_operand_has_no_bridge_to_choose(self):
+        # y ⊆ a and y ⊆ b leave y empty: the bridge out of x leads into
+        # dead states, so there is no combination at all, not one that
+        # slices empty.
+        solutions, total = self._solve("a", "b")
+        assert solutions == []
+        assert total == 0
+
+    def test_live_bridge_is_kept(self):
+        solutions, total = self._solve("a|b", "b|c")
+        assert total == 1
+        (solution,) = solutions
+        assert equivalent(solution[Node("var", "x")], machine("(a|b|c)*"))
+        assert words(solution[Node("var", "y")]) == {"b"}
