@@ -323,8 +323,22 @@ class Nfa:
         return live
 
     def is_empty(self) -> bool:
-        """True iff the language is empty."""
-        return not (self.reachable_from(self.starts) & self.finals)
+        """True iff the language is empty: no final is reachable from a
+        start.  The forward walk stops at the first final it reaches."""
+        edges, finals = self._edges, self.finals
+        seen = set(self.starts)
+        if not seen.isdisjoint(finals):
+            return False
+        # dprle-lint: disable=L030 -- traversal order only; the result is a bool
+        stack = list(seen)
+        while stack:
+            for _, dst, _ in edges[stack.pop()]:
+                if dst not in seen:
+                    if dst in finals:
+                        return False
+                    seen.add(dst)
+                    stack.append(dst)
+        return True
 
     def accepts_epsilon(self) -> bool:
         return bool(self.epsilon_closure(self.starts) & self.finals)
@@ -369,24 +383,25 @@ class Nfa:
         therefore the same machine as without the barrier, at the cost
         of its own region.  The starts are always kept, so the result is
         well-formed even when its language is empty — which is exactly
-        when its ``finals`` are empty.  ``walked`` is as for
-        :meth:`live_states`.
+        when its ``finals`` are empty.  States are laid out in ascending
+        id order, as the trim lays them out, never in the order of a
+        set.  ``walked`` is as for :meth:`live_states`.
         """
         roots = set(starts)
         live = self.live_states(roots, finals, barrier, walked)
         edges = self._edges
         clone = Nfa(self.alphabet)
         clone._next_state = self._next_state
+        # A dead root keeps no edge: a non-barrier edge into a live
+        # state would have made it live.
         clone._edges = {
             state: [
                 edge
                 for edge in edges[state]
                 if edge.dst in live and edge.tag not in barrier
             ]
-            for state in live
+            for state in sorted(live.union(roots))
         }
-        for state in roots - live:
-            clone._edges[state] = []
         clone.starts = roots
         clone.finals = live.intersection(finals)
         return clone

@@ -133,7 +133,7 @@ def _enc_boundary(boundary: tuple) -> list:
     return [boundary[0], boundary[1].label]
 
 
-def encode_group(prepared, limits) -> dict[str, Any]:
+def encode_group(prepared) -> dict[str, Any]:
     """A picklable encoding of a prepared GCI group (gci._PreparedGroup).
 
     Machines are encoded id-preserving (:func:`to_dict`) so the bridge
@@ -175,7 +175,6 @@ def encode_group(prepared, limits) -> dict[str, Any]:
         "var_nodes": [_enc_node(n) for n in prepared.var_nodes],
         "leaves": [_enc_node(n) for n in prepared.leaves],
         "total_combinations": prepared.total_combinations,
-        "limits": {"maximize": limits.maximize},
         "collect": bool(obs.active_sinks()),
     }
 
@@ -186,7 +185,6 @@ def encode_group(prepared, limits) -> dict[str, Any]:
 @dataclass
 class _WorkerState:
     prepared: Any  # gci._PreparedGroup
-    limits: Any  # gci.GciLimits
     collect: bool
 
 
@@ -247,17 +245,14 @@ def _decode_payload(payload: dict[str, Any]) -> _WorkerState:
         leaves={Node(*n) for n in payload["leaves"]},
         total_combinations=payload["total_combinations"],
     )
-    limits = gci.GciLimits(
-        maximize=payload["limits"]["maximize"],
-        workers=0,
-    )
-    return _WorkerState(prepared, limits, payload["collect"])
+    return _WorkerState(prepared, payload["collect"])
 
 
 def _run_chunk(
     payload: dict[str, Any], start: int, stop: int
 ) -> tuple[list, Optional[dict[str, Any]]]:
-    """Worker entry point: enumerate combinations ``[start, stop)``.
+    """Worker entry point: enumerate and maximize combinations
+    ``[start, stop)``.
 
     Returns ``(results, obs snapshot or None)`` where each result is
     ``(canonical index, [encoded machine per var node])``.
@@ -284,9 +279,8 @@ def _run_chunk(
     results: list = []
 
     def run() -> None:
-        for index, solution in gci._iter_candidates(
-            state.prepared, state.limits, start, stop
-        ):
+        walk = gci._iter_candidates(state.prepared, start, stop)
+        for index, solution in gci._maximized(state.prepared, walk):
             docs = [to_dict(solution[node]) for node in state.prepared.var_nodes]
             results.append((index, docs))
 
@@ -328,7 +322,7 @@ def _chunk_ranges(total: int, workers: int) -> list[tuple[int, int]]:
 
 
 def parallel_candidates(
-    prepared, limits, workers: int
+    prepared, workers: int
 ) -> Iterator[tuple[int, dict[Node, Nfa]]]:
     """The parallel stage-5 producer (the fan-out branch of
     ``gci._candidates``): the in-process walk's ``(index, solution)``
@@ -338,11 +332,11 @@ def parallel_candidates(
     the same order.  Each future is paired with its submit timestamp so
     the drain can measure queue wait (submit → worker pickup, both on
     the fork-shared perf_counter clock).  Closing the generator early —
-    the selector's streaming cap or safe-frontier exit — cancels every
-    chunk that has not started, which is what makes ``max_solutions``
-    bound *work* across the pool, not just output.
+    the selector's ``max_solutions == 1`` cap — cancels every chunk that
+    has not started, which is what makes that cap bound *work* across
+    the pool, not just output.
     """
-    payload = encode_group(prepared, limits)
+    payload = encode_group(prepared)
     pool = _get_pool(workers)
     ranges = _chunk_ranges(prepared.total_combinations, workers)
     tasks = [

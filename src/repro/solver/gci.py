@@ -34,24 +34,25 @@ Three hygiene measures keep the output consistent with the paper's
   per-ε-transition slices of the Sec. 3.1.1 example (``(xyy, z)``, ``(xyy, yyz)``, ``(xyyyy, z)``)
   into the paper's maximal answers ``A1 = (xyy, z|yyz)`` and
   ``A2 = (x(yy|yyyy), z)``.
-* Surviving solutions that are pointwise subsumed by another solution
+* Maximized solutions that are pointwise subsumed by another solution
   (every variable's language a subset of the other's) are pruned —
-  *online*, against a maximal frontier of incumbents, so the
-  enumeration can stop early once ``max_solutions`` provably-maximal
-  solutions exist (see :func:`_select`).
+  *online*, against a maximal frontier of incumbents (see
+  :func:`_select`).
 
-The combination enumeration (stage 5) is one producer feeding one
-selector.  The producer (:func:`_candidates`) walks the space in-process
-or fans it out across worker processes (:mod:`repro.parallel`) when
-``GciLimits.workers`` asks for it; both run :func:`_iter_candidates`, a
-depth-first walk over the bridge tags that checks each occurrence slice
-and each shared variable's intersection as soon as the tags it depends
-on are fixed, and skips the whole subtree below a prefix that fails one.
-Candidate order is canonical (mixed-radix combination index, last tag
-fastest — exactly ``itertools.product`` order), so results are
-identical no matter how the space is chunked.  The selector
-(:func:`_select`) prunes and caps; closing the producer early is its
-only way to stop the walk.
+The combination enumeration (stage 5) is one pipeline with no mode
+switches: walk, maximize, select.  The producer (:func:`_candidates`)
+runs it in-process or fans it out across worker processes
+(:mod:`repro.parallel`) when ``GciLimits.workers`` asks for it; both run
+:func:`_iter_candidates`, a depth-first walk over the bridge tags that
+checks each occurrence slice and each shared variable's intersection as
+soon as the tags it depends on are fixed, and skips the whole subtree
+below a prefix that fails one, and both maximize every viable candidate
+through :func:`_maximized`.  Candidate order is canonical (mixed-radix
+combination index, last tag fastest — exactly ``itertools.product``
+order), so results are identical no matter how the space is chunked.
+The selector (:func:`_select`) keeps the maximal frontier and caps it;
+closing the producer early, after the first candidate when
+``max_solutions == 1``, is its only way to stop the walk.
 
 The output is a list of disjunctive solutions, each mapping the group's
 variable nodes to NFAs — one solution per surviving combination of
@@ -89,23 +90,13 @@ class SolveLimitExceeded(RuntimeError):
 class GciLimits:
     """Knobs bounding the (worst-case exponential) enumeration.
 
-    The stage-5 selector has two regimes:
-
-    * *Raw stream* — ``prune_subsumed=False`` or ``max_solutions ==
-      1``: candidates pass straight through (the paper's Sec. 3.5
-      first-solution behaviour), language duplicates included.
-    * *Maximal frontier* — ``prune_subsumed`` (the Maximal property
-      across a group's disjunctive solutions): each candidate is
-      compared against a frontier of incumbent maxima as it arrives.
-      A candidate structurally identical to an earlier one is dropped
-      outright; any other language duplicate is subsumed by the
-      incumbent that dominates its twin, so the frontier never holds
-      two equal solutions.  With ``maximize=False`` the enumeration
-      stops as soon as ``max_solutions`` provably-unsubsumable
-      solutions exist — so the cap bounds work, not just output.
-      (With ``maximize=True`` a later combination can still grow past
-      an earlier one, so the full space is consumed before the cap
-      applies.)
+    Every viable candidate is closed under the Galois maximization
+    (:func:`_maximize_solution`) and the subsumed ones are pruned
+    against a maximal frontier.  ``max_solutions`` caps the answer;
+    only ``max_solutions == 1`` also bounds the work, by stopping the
+    walk at the first candidate (see :func:`_select`).
+    ``max_combinations`` refuses a group whose bridge-choice product is
+    larger, before any enumeration (:class:`SolveLimitExceeded`).
 
     ``workers`` fans the bridge-combination space out across a process
     pool (:mod:`repro.parallel`): ``0`` forces serial, ``None`` defers
@@ -121,17 +112,10 @@ class GciLimits:
     proved unsatisfiable skips the enumeration entirely.  The pruning
     is solution-preserving (see ``docs/DIAGNOSTICS.md``); counters
     ``check.pruned_nodes`` / ``check.proved_unsat`` record its effect.
-
-    ``maximize`` closes every viable candidate under the Galois
-    maximization (:func:`_maximize_solution`): one pass over the
-    variables, which is already the fixpoint, so there is no round
-    limit and no possibly-non-maximal result to report.
     """
 
     max_solutions: Optional[int] = None
     max_combinations: int = 100_000
-    prune_subsumed: bool = True
-    maximize: bool = True
     workers: Optional[int] = None
     precheck: bool = False
 
@@ -178,10 +162,9 @@ def group_solutions(
 
     Yields ``{var node: machine}`` dictionaries; an exhausted iterator
     with no yields means the group admits no (non-empty) solutions.
-    Enumeration is lazy unless ``prune_subsumed`` demands a wider view;
-    even then the streaming frontier lets ``max_solutions=N`` cut the
-    enumeration short once the first ``N`` survivors are provably
-    final (see :class:`GciLimits`).
+    The maximal frontier consumes the whole walk before it yields;
+    ``max_solutions=1`` yields the first maximized candidate and stops
+    the walk there (see :func:`_select`).
     """
     limits = limits or GciLimits()
     with obs.span("ci", group_size=len(group)) as sp:
@@ -278,7 +261,7 @@ def _candidates(
     prepared: "_PreparedGroup", limits: GciLimits
 ) -> Iterator[tuple[int, dict[Node, Nfa]]]:
     """The stage-5 producer: the group's viable candidates in canonical
-    order, as ``(combination index, solution)``.
+    order, maximized, as ``(combination index, solution)``.
 
     A process-pool fan-out (:func:`repro.parallel.parallel_candidates`)
     when :func:`repro.parallel.resolve_workers` grants workers for this
@@ -290,11 +273,11 @@ def _candidates(
 
     workers = resolve_workers(limits.workers, prepared.total_combinations)
     if workers:
-        yield from parallel_candidates(prepared, limits, workers)
+        yield from parallel_candidates(prepared, workers)
         return
     progress = [0]
     try:
-        yield from _iter_candidates(prepared, limits, 0, None, progress)
+        yield from _maximized(prepared, _iter_candidates(prepared, 0, None, progress))
     finally:
         obs.increment_metric("gci.combinations_enumerated", progress[0])
         skipped = prepared.total_combinations - progress[0]
@@ -304,13 +287,13 @@ def _candidates(
 
 def _iter_candidates(
     prepared: "_PreparedGroup",
-    limits: GciLimits,
     start: int,
     stop: Optional[int],
     progress: Optional[list[int]] = None,
 ) -> Iterator[tuple[int, dict[Node, Nfa]]]:
     """Yield ``(index, solution)`` for the viable combinations with
-    canonical index in ``[start, stop)``.
+    canonical index in ``[start, stop)``: the raw slices (their
+    intersection for a shared variable), not yet maximized.
 
     The canonical index enumerates ``itertools.product`` order over the
     edge lists (last tag in ``tag_order`` fastest); workers and the
@@ -339,8 +322,6 @@ def _iter_candidates(
     stop = spans[0] if stop is None else min(stop, spans[0])
     if start >= stop:
         return
-    if limits.maximize:
-        _residuals(prepared)
     digits = _digits_at(start, radices)
     chosen = {tag: edge_lists[pos][digits[pos]] for pos, tag in enumerate(tag_order)}
     sliced: dict[int, tuple[tuple, Nfa]] = {}
@@ -354,9 +335,6 @@ def _iter_candidates(
                 # Memoized machines are shared across combinations; the
                 # solution must own its machines.
                 solution = {var: values[var].copy() for var in prepared.var_nodes}
-                if limits.maximize:
-                    with obs.span("gci_maximize"):
-                        solution = _maximize_solution(prepared, solution)
             sp.set("viable", solution is not None)
         settled = depth if cut is None else cut
         end = min((index // spans[settled] + 1) * spans[settled], stop)
@@ -426,18 +404,6 @@ def _digits_at(index: int, radices: list[int]) -> list[int]:
     return digits
 
 
-def _combo_at(
-    prepared: "_PreparedGroup", index: int
-) -> dict[BridgeTag, tuple[int, int]]:
-    """The chosen-edge mapping for a canonical combination index."""
-    edge_lists = [prepared.edges_by_tag[tag] for tag in prepared.tag_order]
-    digits = _digits_at(index, [len(edges) for edges in edge_lists])
-    return {
-        tag: edge_lists[pos][digits[pos]]
-        for pos, tag in enumerate(prepared.tag_order)
-    }
-
-
 def _select(
     prepared: "_PreparedGroup",
     limits: GciLimits,
@@ -445,18 +411,17 @@ def _select(
 ) -> Iterator[dict[Node, Nfa]]:
     """The stage-5 selector: subsumption and caps.
 
-    Two regimes over the producer's stream (see :class:`GciLimits`):
+    Two regimes over the producer's stream of maximized candidates:
 
-    * ``prune_subsumed=False`` or ``max_solutions == 1`` — the raw
-      stream (the paper's Sec. 3.5 first-solution behaviour).
+    * ``max_solutions == 1`` — the first candidate passes straight
+      through (the paper's Sec. 3.5 first-solution behaviour), and
+      closing the producer stops the walk.
     * otherwise an online *maximal frontier*: a candidate whose tuple of
       structural digests was seen before is dropped at once, any other
-      candidate subsumed by an incumbent is dropped on arrival,
-      incumbents subsumed by a new candidate leave the frontier, and —
-      when ``maximize`` is off, so candidate languages are bounded by
-      their slices — the enumeration stops early once the first
-      ``max_solutions`` frontier members are provably unsubsumable by
-      any future combination (:func:`_member_is_safe`).
+      candidate subsumed by an incumbent is dropped on arrival, and
+      incumbents subsumed by a new candidate leave the frontier.  A
+      later candidate can subsume an earlier one, so the whole stream
+      is consumed before ``max_solutions`` applies.
 
     The frontier's final content equals the survivors of the full
     pairwise scan, the earliest of equal candidates kept, in canonical
@@ -465,137 +430,36 @@ def _select(
     subsumed by whichever member dominates that one.  Results are thus
     identical to eager enumerate-then-prune, only cheaper.
     """
-    safety: dict[int, bool] = {}
-
-    def safe(index: int, member: dict[Node, Nfa]) -> bool:
-        if index not in safety:
-            safety[index] = _member_is_safe(prepared, index, member)
-        return safety[index]
-
     try:
         cap = limits.max_solutions
-        if not limits.prune_subsumed or cap == 1:
-            for yielded, (_, solution) in enumerate(candidates, 1):
-                yield solution
-                if cap is not None and yielded >= cap:
-                    return
+        if cap == 1:
+            first = next(candidates, None)
+            if first is not None:
+                yield first[1]
             return
 
         cache = active_cache()
         digest = struct_digest if cache is None else cache.struct_key
         seen: set[tuple[str, ...]] = set()
-        frontier: list[tuple[int, dict[Node, Nfa]]] = []
-        for index, solution in candidates:
+        frontier: list[dict[Node, Nfa]] = []
+        for _, solution in candidates:
             key = tuple(digest(solution[node]) for node in prepared.var_nodes)
             if key in seen:
                 continue
             seen.add(key)
-            if any(
-                _pointwise_subset(solution, incumbent)
-                for _, incumbent in frontier
-            ):
+            if any(_pointwise_subset(solution, incumbent) for incumbent in frontier):
                 continue
             # Nothing in the frontier contains the candidate, so nothing
             # it removes here is equal to it: ⊆ means strictly smaller.
             frontier = [
-                item
-                for item in frontier
-                if not _pointwise_subset(item[1], solution)
+                incumbent
+                for incumbent in frontier
+                if not _pointwise_subset(incumbent, solution)
             ]
-            frontier.append((index, solution))
-            if cap is None or limits.maximize or len(frontier) < cap:
-                continue
-            # Maximization can grow a later candidate past its slices,
-            # so the safety argument only holds for raw slices.
-            if all(safe(i, member) for i, member in frontier[:cap]):
-                break
-        for _, solution in frontier[:cap]:
-            yield solution
+            frontier.append(solution)
+        yield from frontier[:cap]
     finally:
         candidates.close()
-
-
-def _member_is_safe(
-    prepared: "_PreparedGroup", index: int, solution: dict[Node, Nfa]
-) -> bool:
-    """Can any not-yet-seen combination pointwise subsume ``solution``?
-
-    A future subsumer must pick, at some tag, an edge different from
-    this member's choice.  Every alternative edge is checked: if some
-    variable occurrence adjacent to the tag has, for *every* completion
-    of its other boundary tag, a slice that does not contain the
-    member's language for that variable, then no combination through
-    that edge can dominate the member (a candidate's language is always
-    contained in each of its occurrence slices — which is why this is
-    only sound with ``maximize`` off).  Tags with no adjacent variable
-    occurrence cannot change variable languages at all: a combination
-    differing only there is a language duplicate, which the frontier
-    drops as subsumed.  If every alternative everywhere is blocked, the
-    member is *safe* — it will survive the full enumeration.
-    """
-    chosen = _combo_at(prepared, index)
-    for tag in prepared.tag_order:
-        edges = prepared.edges_by_tag[tag]
-        if len(edges) == 1:
-            continue
-        adjacent = [
-            (occ_index, occ)
-            for occ_index, occ in enumerate(prepared.occurrences)
-            if occ.node.is_var and _occ_adjacent(occ, tag)
-        ]
-        if not adjacent:
-            continue
-        own = chosen[tag]
-        for alt in edges:
-            if alt == own:
-                continue
-            if not any(
-                _occ_blocks(prepared, occ_index, occ, tag, alt, solution)
-                for occ_index, occ in adjacent
-            ):
-                return False
-    return True
-
-
-def _occ_adjacent(occ: _Occurrence, tag: BridgeTag) -> bool:
-    return occ.start_tag is tag or occ.final_tag is tag
-
-
-def _occ_blocks(
-    prepared: "_PreparedGroup",
-    occ_index: int,
-    occ: _Occurrence,
-    tag: BridgeTag,
-    alt: tuple[int, int],
-    solution: dict[Node, Nfa],
-) -> bool:
-    """Does ``occ`` rule out every combination choosing ``alt`` at
-    ``tag`` as a subsumer of ``solution``?  True iff the member's
-    language for the occurrence's variable escapes the slice for every
-    completion of the occurrence's other boundary."""
-    start_tag, final_tag = occ.start_tag, occ.final_tag
-    if start_tag is tag and final_tag is tag:
-        boundaries = [(alt, alt)]
-    elif start_tag is tag:
-        completions = (
-            prepared.edges_by_tag[final_tag] if final_tag is not None else [None]
-        )
-        boundaries = [(alt, other) for other in completions]
-    elif final_tag is tag:
-        completions = (
-            prepared.edges_by_tag[start_tag] if start_tag is not None else [None]
-        )
-        boundaries = [(other, alt) for other in completions]
-    else:  # pragma: no cover - caller filters by adjacency
-        return False
-    language = solution[occ.node]
-    for start_edge, final_edge in boundaries:
-        piece = _occurrence_slice(prepared, occ_index, start_edge, final_edge)
-        # An empty slice blocks trivially: the member's language is
-        # non-empty (viable candidates never map a variable to ∅).
-        if piece is not None and is_subset(language, piece):
-            return False
-    return True
 
 
 def _prepare_group(
@@ -700,32 +564,24 @@ def _prepare_group(
             f"(limit {limits.max_combinations})"
         )
 
-    var_nodes = sorted((n for n in leaves if n.is_var), key=lambda n: n.name)
-    prepared = _PreparedGroup(
+    # Flattened leaf sequences per constrained temp, for maximization:
+    # the subtree of temp ``t`` denotes the concatenation of its leaves
+    # in order, and must be ⊆ every constant on ``t``.
+    constraint_specs = [
+        (const_machine(const_node), _flatten_leaves(graph, group, temp))
+        for temp in ordered_temps
+        for const_node in graph.inbound_subsets(temp)
+    ]
+    return _PreparedGroup(
         machines=machines,
         occurrences=occurrences,
         tag_order=tag_order,
         edges_by_tag=edges_by_tag,
-        constraint_specs=[],
-        var_nodes=var_nodes,
+        constraint_specs=constraint_specs,
+        var_nodes=sorted((n for n in leaves if n.is_var), key=lambda n: n.name),
         leaves=leaves,
         total_combinations=total_combinations,
     )
-
-    # Flattened leaf sequences per constrained temp, for maximization:
-    # the subtree of temp ``t`` denotes the concatenation of its leaves
-    # in order, and must be ⊆ every constant on ``t``.
-    if limits.maximize:
-        for temp in ordered_temps:
-            inbound = graph.inbound_subsets(temp)
-            if not inbound:
-                continue
-            leaf_seq = _flatten_leaves(graph, group, temp)
-            for const_node in inbound:
-                prepared.constraint_specs.append(
-                    (const_machine(const_node), leaf_seq)
-                )
-    return prepared
 
 
 def _share_intersection(
@@ -824,14 +680,31 @@ def _flatten_leaves(graph: DepGraph, group: set[Node], temp: Node) -> list[Node]
 
 def _residuals(prepared: "_PreparedGroup") -> list[bitset.Residual]:
     """The residual DFA of each constraint constant, built once per
-    group on first use (before the walk, so the determinizations sit
-    outside every ``gci_maximize`` span)."""
+    group on first use."""
     if prepared.residuals is None:
         prepared.residuals = [
             bitset.Residual(determinize(const))
             for const, _ in prepared.constraint_specs
         ]
     return prepared.residuals
+
+
+def _maximized(
+    prepared: "_PreparedGroup",
+    candidates: Iterator[tuple[int, dict[Node, Nfa]]],
+) -> Iterator[tuple[int, dict[Node, Nfa]]]:
+    """The walk's ``(index, solution)`` stream, each candidate closed
+    under the Galois maximization in its own ``gci_maximize`` span.
+
+    The residual DFAs are built first, so their determinizations sit
+    outside every ``gci_maximize`` span.  The serial producer and the
+    worker chunks both maximize through here.
+    """
+    _residuals(prepared)
+    for index, solution in candidates:
+        with obs.span("gci_maximize"):
+            solution = _maximize_solution(prepared, solution)
+        yield index, solution
 
 
 def _maximize_solution(

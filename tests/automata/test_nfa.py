@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.automata import BYTE_ALPHABET, BridgeTag, CharSet, Nfa
+from repro.automata import BYTE_ALPHABET, BridgeTag, CharSet, Nfa, ops
+from repro.automata.serialize import to_dict
 
 from .. import oracle
-from ..helpers import ABC
+from ..helpers import ABC, machine as compile_regex
 from ..prop.strategies import epsilon_nfas
 
 
@@ -114,6 +115,16 @@ class TestStructure:
         machine.finals = {b}
         assert machine.is_empty()
 
+    @settings(max_examples=200, deadline=None)
+    @given(epsilon_nfas(max_states=8), st.data())
+    def test_property_is_empty_matches_reference_trim(self, machine, data):
+        # Arbitrary starts and finals: dead and unreachable states, and
+        # finals only an ε-edge or a cycle reaches.
+        state = st.integers(min_value=0, max_value=machine.num_states - 1)
+        machine.starts = data.draw(st.sets(state))
+        machine.finals = data.draw(st.sets(state))
+        assert machine.is_empty() == (not oracle.trim(machine).finals)
+
     def test_trim_drops_dead_states(self):
         machine = Nfa()
         a, b, dead = machine.add_states(3)
@@ -158,6 +169,21 @@ class TestStructure:
         assert oracle.structure(machine.trim()) == oracle.structure(
             oracle.trim(machine)
         )
+
+
+    def test_trim_lays_states_out_in_id_order(self):
+        # The product's live ids outgrow a small set's hash table, so a
+        # layout that followed the live set would wrap (32, 33, 34, 1,
+        # 0, ...); the trim and its serialization follow the ids.
+        product = ops.product(
+            compile_regex("a(b|c)"), compile_regex("ab|ac*d")
+        )
+        trimmed = product.trim()
+        states = list(trimmed.states)
+        assert states == sorted(states)
+        sources = [item["src"] for item in to_dict(trimmed)["transitions"]]
+        assert sources == sorted(sources)
+        assert max(states) > 31  # the ids that wrapped
 
 
 class TestTransforms:

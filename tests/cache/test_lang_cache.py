@@ -8,11 +8,10 @@ from repro.automata.dfa import determinize, minimize_nfa
 from repro.automata.nfa import BridgeTag
 from repro.automata.equivalence import equivalent, is_subset
 from repro.cache import CacheLimits, LangCache, active_cache
+from repro.constraints import build_graph
 from repro.constraints.terms import ConcatTerm, Const, Problem, Subset, Var
-from repro.solver import solve
-from repro.solver.gci import GciLimits
 
-from ..helpers import AB, ABC, language, machine
+from ..helpers import AB, ABC, language, machine, raw_walk
 
 
 @pytest.fixture
@@ -178,15 +177,17 @@ class TestStructureSensitivePaths:
     @staticmethod
     def _solve(const_machine: Nfa):
         # v1 ⊆ C, v1·v2 ⊆ Σ*: one disjunct per bridge crossing, i.e.
-        # one per final of v1's stage-1 machine.  maximize=False keeps
-        # the per-crossing slices observable (Fig. 3 as written).
+        # one per final of v1's stage-1 machine.  The raw walk keeps the
+        # per-crossing slices observable (Fig. 3 as written, before
+        # maximization merges them).
         v1, v2 = Var("v1"), Var("v2")
         constraints = [
             Subset(v1, Const("c", const_machine)),
             Subset(ConcatTerm((v1, v2)), Const("top", Nfa.universal(AB))),
         ]
-        problem = Problem(constraints, alphabet=AB)
-        return solve(problem, limits=GciLimits(maximize=False))
+        graph, _ = build_graph(Problem(constraints, alphabet=AB))
+        (group,) = graph.ci_groups()
+        return [solution for _, solution in raw_walk(graph, group)[1]]
 
     @staticmethod
     def _langs(solutions):

@@ -67,11 +67,7 @@ def test_fixture_solutions_identical(fixture, workers):
 @pytest.mark.parametrize("fixture", ["fig9.dprle", "unsat_static.dprle"])
 def test_capped_and_unmaximized_identical(fixture):
     problem = parse_problem((DATA / fixture).read_text())
-    for kwargs in (
-        {"maximize": False},
-        {"max_solutions": 2},
-        {"prune_subsumed": False},
-    ):
+    for kwargs in ({"max_solutions": 1}, {"max_solutions": 2}):
         reference = solve(problem, limits=_limits(False, **kwargs))
         candidate = solve(problem, limits=_limits(True, **kwargs))
         assert_same_solutions(reference, candidate)

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterator
+from typing import Iterator, Optional
 
 from repro.automata import BYTE_ALPHABET, Alphabet, CharSet, Nfa, ops
+from repro.constraints.depgraph import DepGraph, Node
 from repro.constraints.terms import ConcatTerm, Const, Problem, Subset, Var
 from repro.regex import parse_exact, to_nfa
+from repro.solver import gci
 
 #: A three-letter alphabet keeps exhaustive oracles cheap.
 ABC = Alphabet(CharSet.of("abc"), name="abc")
@@ -136,3 +138,27 @@ def chain_problem(k: int) -> Problem:
         )
         constraints.append(Subset(term, Const(f"k{step}", loose)))
     return Problem(constraints)
+
+
+def raw_walk(
+    graph: DepGraph,
+    group: set[Node],
+    max_combinations: int = gci.GciLimits.max_combinations,
+    progress: Optional[list[int]] = None,
+) -> tuple[Optional["gci._PreparedGroup"], Iterator[tuple[int, dict[Node, Nfa]]]]:
+    """Prepare one CI-group and start its raw stage-5 walk.
+
+    Returns ``(prepared, walk)``: the group after stages 1-4, and a
+    generator of ``(index, solution)`` for its viable bridge
+    combinations in canonical order — the raw slices, neither maximized
+    nor pruned as subsumed (``gci._maximized`` and ``gci._select`` take
+    it from there).  ``prepared`` is ``None`` and the walk empty when
+    some concatenation is unrealizable.  ``progress`` is as for
+    ``gci._iter_candidates``: it counts the combinations the walk
+    settles.
+    """
+    limits = gci.GciLimits(max_combinations=max_combinations)
+    prepared = gci._prepare_group(graph, group, limits)
+    if prepared is None:
+        return None, iter(())
+    return prepared, gci._iter_candidates(prepared, 0, None, progress)

@@ -530,21 +530,15 @@ def structure(nfa: Nfa) -> tuple:
     return edges, nfa.starts, nfa.finals, nfa._next_state
 
 
-def product_walk(
-    prepared: "gci._PreparedGroup", limits: "gci.GciLimits"
-) -> Iterator[tuple[int, dict]]:
+def product_walk(prepared: "gci._PreparedGroup") -> Iterator[tuple[int, dict]]:
     """``(index, solution)`` for every viable combination of a prepared
-    group, walking all of ``itertools.product`` over its edge lists."""
-    if limits.maximize:
-        gci._residuals(prepared)
+    group, walking all of ``itertools.product`` over its edge lists:
+    the raw slices, not maximized."""
     edge_lists = [prepared.edges_by_tag[tag] for tag in prepared.tag_order]
     for index, edges in enumerate(itertools.product(*edge_lists)):
         solution = _slice_combination(prepared, dict(zip(prepared.tag_order, edges)))
-        if solution is None:
-            continue
-        if limits.maximize:
-            solution = gci._maximize_solution(prepared, solution)
-        yield index, solution
+        if solution is not None:
+            yield index, solution
 
 
 def _slice_combination(prepared: "gci._PreparedGroup", chosen: dict) -> Optional[dict]:

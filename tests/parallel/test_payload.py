@@ -27,10 +27,9 @@ def _prepare(fixture: str):
     problem = parse_problem((DATA / fixture).read_text())
     graph, _ = build_graph(problem)
     (group,) = graph.ci_groups()
-    limits = gci.GciLimits()
-    prepared = gci._prepare_group(graph, group, limits)
+    prepared = gci._prepare_group(graph, group, gci.GciLimits())
     assert prepared is not None
-    return prepared, limits
+    return prepared
 
 
 class TestMachineDictRoundTrip:
@@ -62,15 +61,14 @@ class TestMachineDictRoundTrip:
 
 class TestGroupPayload:
     def test_payload_is_picklable(self):
-        prepared, limits = _prepare("fig9.dprle")
-        payload = parallel.encode_group(prepared, limits)
+        payload = parallel.encode_group(_prepare("fig9.dprle"))
         pickle.loads(pickle.dumps(payload))
 
     def test_decode_restores_enumeration(self):
         """The decoded group enumerates the same candidates at the same
         canonical indices with the same languages."""
-        prepared, limits = _prepare("fig9.dprle")
-        payload = parallel.encode_group(prepared, limits)
+        prepared = _prepare("fig9.dprle")
+        payload = parallel.encode_group(prepared)
         state = parallel._decode_payload(payload)
 
         assert [t.label for t in state.prepared.tag_order] == [
@@ -86,25 +84,21 @@ class TestGroupPayload:
                 == prepared.edges_by_tag[tag]
             )
 
-        original = list(gci._iter_candidates(prepared, limits, 0, None))
-        decoded = list(
-            gci._iter_candidates(state.prepared, state.limits, 0, None)
-        )
+        original = list(gci._iter_candidates(prepared, 0, None))
+        decoded = list(gci._iter_candidates(state.prepared, 0, None))
         assert [i for i, _ in decoded] == [i for i, _ in original]
         for (_, a), (_, b) in zip(original, decoded):
             for node, m in a.items():
                 assert equivalent(m, b[node]), node
 
     def test_chunked_union_equals_whole(self):
-        prepared, limits = _prepare("wide.dprle")
-        whole = list(gci._iter_candidates(prepared, limits, 0, None))
+        prepared = _prepare("wide.dprle")
+        whole = list(gci._iter_candidates(prepared, 0, None))
         pieces = []
         for start, stop in parallel._chunk_ranges(
             prepared.total_combinations, workers=4
         ):
-            pieces.extend(
-                gci._iter_candidates(prepared, limits, start, stop)
-            )
+            pieces.extend(gci._iter_candidates(prepared, start, stop))
         assert [i for i, _ in pieces] == [i for i, _ in whole]
 
     def test_chunk_ranges_cover_exactly(self):

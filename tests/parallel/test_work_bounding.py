@@ -1,10 +1,9 @@
-"""Work-bounded enumeration: caps, prefix pruning, and the safe frontier.
+"""Work-bounded enumeration: the first-solution cap and prefix pruning.
 
-``max_solutions=N`` bounds the *work* the stage-5 enumeration does, not
+``max_solutions=1`` bounds the *work* the stage-5 enumeration does, not
 just the output length — ``gci.combinations_skipped`` counts what was
-never walked (streaming caps and the safe-frontier early exit) — and
-the depth-first walk settles every combination below a dead prefix at
-once (``gci.combinations_pruned``).
+never walked — and the depth-first walk settles every combination
+below a dead prefix at once (``gci.combinations_pruned``).
 """
 
 import pathlib
@@ -14,14 +13,10 @@ from repro.automata.equivalence import equivalent
 from repro.constraints import parse_problem
 from repro.constraints.depgraph import build_graph
 from repro.solver import solve
-from repro.solver.gci import (
-    GciLimits,
-    _iter_candidates,
-    _prepare_group,
-    group_solutions,
-)
+from repro.solver.gci import GciLimits, group_solutions
 
 from .. import oracle
+from ..helpers import raw_walk
 
 DATA = pathlib.Path(__file__).parent.parent / "data"
 
@@ -84,39 +79,6 @@ class TestStreamingCap:
         assert "gci.combinations_skipped" not in counters
 
 
-class TestSafeFrontierEarlyExit:
-    def test_prune_subsumed_with_cap_bounds_work(self):
-        """With pruning ON and maximize off, the frontier's safety
-        check stops the enumeration once the first N survivors are
-        provably final — the satellite requirement that
-        prune_subsumed=True + max_solutions=N bounds work."""
-        with obs.collect() as collector:
-            result = solve(
-                _fig9(),
-                max_solutions=2,
-                limits=GciLimits(maximize=False, prune_subsumed=True),
-            )
-        counters = _counters(collector)
-        assert len(result) == 2
-        assert counters["gci.combinations_skipped"] > 0
-
-    def test_early_exit_output_is_prefix_of_full(self):
-        problem_text = (DATA / "fig9.dprle").read_text()
-        full = solve(
-            parse_problem(problem_text),
-            limits=GciLimits(maximize=False, prune_subsumed=True),
-        )
-        capped = solve(
-            parse_problem(problem_text),
-            max_solutions=2,
-            limits=GciLimits(maximize=False, prune_subsumed=True),
-        )
-        assert len(capped) == 2
-        for a, b in zip(full, capped):
-            for name in a.variables():
-                assert equivalent(a[name], b[name])
-
-
 SHARED_MIDDLE = """
 var va, vb, vc;
 va <= /a+/;
@@ -147,13 +109,8 @@ class TestPruning:
         walk, which slices every combination."""
         graph, _ = build_graph(parse_problem(SHARED_MIDDLE))
         (group,) = graph.ci_groups()
-        limits = GciLimits(workers=0)
-        walked = list(
-            _iter_candidates(_prepare_group(graph, group, limits), limits, 0, None)
-        )
-        reference = list(
-            oracle.product_walk(_prepare_group(graph, group, limits), limits)
-        )
+        walked = list(raw_walk(graph, group)[1])
+        reference = list(oracle.product_walk(raw_walk(graph, group)[0]))
         assert [i for i, _ in walked] == [i for i, _ in reference]
         for (_, a), (_, b) in zip(walked, reference):
             assert all(equivalent(a[node], b[node]) for node in b)

@@ -6,7 +6,6 @@ hand-picked ones.
 """
 
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.automata import ops
 from repro.automata.equivalence import is_subset
@@ -59,13 +58,8 @@ def test_basic_var_solution_is_exact_intersection(r1, r2):
 
 
 @SETTINGS
-@given(
-    machines(max_depth=2),
-    machines(max_depth=2),
-    machines(max_depth=2),
-    st.booleans(),
-)
-def test_rma_solutions_verify(c1, c2, c3, maximize):
+@given(machines(max_depth=2), machines(max_depth=2), machines(max_depth=2))
+def test_rma_solutions_verify(c1, c2, c3):
     problem = Problem(
         [
             Subset(Var("x"), Const("c1", c1)),
@@ -74,13 +68,11 @@ def test_rma_solutions_verify(c1, c2, c3, maximize):
         ],
         alphabet=AB,
     )
-    limits = GciLimits(maximize=maximize, max_combinations=10_000)
-    solutions = solve(problem, limits=limits)
+    solutions = solve(problem, limits=GciLimits(max_combinations=10_000))
     for assignment in solutions.nonempty():
         report = check_assignment(problem, assignment)
         assert report.satisfying, report.violations
-        if maximize:
-            assert report.maximal is not False, report.violations
+        assert report.maximal is not False, report.violations
 
 
 @SETTINGS
@@ -152,7 +144,8 @@ def test_maximization_is_idempotent(c1, c2, c3, k):
         prepared = gci._prepare_group(graph, group, limits)
         if prepared is None:
             continue
-        for _, solution in gci._iter_candidates(prepared, limits, 0, None):
+        walk = gci._iter_candidates(prepared, 0, None)
+        for _, solution in gci._maximized(prepared, walk):
             again = gci._maximize_solution(prepared, solution)
             for node, grown in again.items():
                 assert equivalent(grown, solution[node]), node

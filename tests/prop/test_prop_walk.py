@@ -5,10 +5,11 @@ variable's intersection as soon as the tags they depend on are fixed,
 and cuts the subtree below a prefix that fails one.
 :func:`tests.oracle.product_walk` slices every combination of the full
 bridge product instead.  Both must yield the same ``(index, languages)``
-stream, with ``maximize`` on and off, on every ``tests/data`` file, the
-Sec. 3.5 chain at k ≤ 2 and random RMA systems.  Any split of the index
-range into ``[start, stop)`` pieces must concatenate to the whole
-stream, each piece settling exactly its own combinations.
+stream, raw and after ``gci._maximized`` closes each candidate, on
+every ``tests/data`` file, the Sec. 3.5 chain at k ≤ 2 and random RMA
+systems.  Any split of the index range into ``[start, stop)`` pieces
+must concatenate to the whole stream, each piece settling exactly its
+own combinations.
 """
 
 import pathlib
@@ -28,6 +29,7 @@ from .test_prop_slices import rma_system
 
 DATA = pathlib.Path(__file__).parent.parent / "data"
 
+#: Compare the maximized streams (True) or the raw ones (False).
 MAXIMIZE = [True, False]
 
 
@@ -52,9 +54,17 @@ def split_ranges(total: int) -> list[list[tuple[int, int]]]:
     return splits
 
 
-def assert_walk_matches_reference(graph, limits) -> int:
-    """Compare both walks on every group of ``graph``; returns how many
-    candidates were compared."""
+def assert_walk_matches_reference(
+    graph, maximize: bool, max_combinations: int = 100_000
+) -> int:
+    """Compare both walks on every group of ``graph``, each stream
+    maximized when ``maximize``; returns how many candidates were
+    compared."""
+    limits = GciLimits(max_combinations=max_combinations)
+
+    def stream(prepared, walk):
+        return list(gci._maximized(prepared, walk) if maximize else walk)
+
     compared = 0
     for group in graph.ci_groups():
         try:
@@ -63,18 +73,16 @@ def assert_walk_matches_reference(graph, limits) -> int:
             continue
         if prepared is None:
             continue
-        walked = list(gci._iter_candidates(prepared, limits, 0, None))
-        reference = list(
-            oracle.product_walk(gci._prepare_group(graph, group, limits), limits)
-        )
+        walked = stream(prepared, gci._iter_candidates(prepared, 0, None))
+        fresh = gci._prepare_group(graph, group, limits)
+        reference = stream(fresh, oracle.product_walk(fresh))
         assert_same_stream(walked, reference)
         for ranges in split_ranges(prepared.total_combinations):
             pieces = []
             for start, stop in ranges:
                 progress = [0]
-                pieces.extend(
-                    gci._iter_candidates(prepared, limits, start, stop, progress)
-                )
+                walk = gci._iter_candidates(prepared, start, stop, progress)
+                pieces.extend(stream(prepared, walk))
                 assert progress[0] == stop - start, (start, stop)
             assert_same_stream(pieces, walked)
         compared += len(walked)
@@ -85,15 +93,14 @@ def assert_walk_matches_reference(graph, limits) -> int:
 @pytest.mark.parametrize("fixture", sorted(p.name for p in DATA.glob("*.dprle")))
 def test_walk_matches_reference_on_fixtures(fixture, maximize):
     graph, _ = build_graph(parse_problem((DATA / fixture).read_text()))
-    assert_walk_matches_reference(graph, GciLimits(maximize=maximize))
+    assert_walk_matches_reference(graph, maximize)
 
 
 @pytest.mark.parametrize("maximize", MAXIMIZE)
 @pytest.mark.parametrize("k", [1, 2])
 def test_walk_matches_reference_on_chain(k, maximize):
     graph, _ = build_graph(chain_problem(k))
-    limits = GciLimits(maximize=maximize, max_combinations=1_000_000)
-    assert assert_walk_matches_reference(graph, limits) > 0
+    assert assert_walk_matches_reference(graph, maximize, 1_000_000) > 0
 
 
 @settings(max_examples=25, deadline=None)
@@ -106,5 +113,4 @@ def test_walk_matches_reference_on_chain(k, maximize):
 def test_walk_matches_reference_on_random_rma_systems(c1, c2, c3, k):
     graph, _ = build_graph(rma_system(c1, c2, c3, k))
     for maximize in MAXIMIZE:
-        limits = GciLimits(maximize=maximize, max_combinations=10_000)
-        assert_walk_matches_reference(graph, limits)
+        assert_walk_matches_reference(graph, maximize, 10_000)

@@ -22,20 +22,11 @@ from repro.cache import LangCache
 from repro.constraints import parse_problem
 from repro.solver import solve
 from repro.constraints import build_graph
-from repro.solver.gci import GciLimits, group_solutions
+from repro.solver.gci import GciLimits
 
-from ..helpers import chain_problem
+from ..helpers import chain_problem, raw_walk
 
 DATA = pathlib.Path(__file__).parent.parent / "data"
-
-#: The raw walk: every viable candidate, with no maximization and no
-#: subsumption pruning.
-CHAIN_RAW = GciLimits(
-    maximize=False,
-    prune_subsumed=False,
-    max_combinations=1_000_000,
-    workers=0,
-)
 
 
 def _counters(fixture: str, max_solutions=None):
@@ -102,24 +93,26 @@ def test_memo_reuse_across_groups_in_one_solve():
     assert counters["gci.slice_memo_hits"] > counters["gci.slice_memo_misses"]
 
 
+def _chain_walk(k: int, progress=None):
+    """The raw walk (unmaximized, unpruned) of the chain's one group."""
+    graph, _ = build_graph(chain_problem(k))
+    (group,) = graph.ci_groups()
+    return raw_walk(graph, group, progress=progress)
+
+
 def test_chain_k3_raw_walk_prunes_dead_prefixes():
     """The raw walk of the Sec. 3.5 chain at k = 3: 813 viable
     candidates out of 14,850 combinations, most of them settled by a
     cut prefix instead of a leaf."""
-    graph, _ = build_graph(chain_problem(3))
+    settled = [0]
     with obs.collect() as collector:
-        viable = sum(
-            1
-            for group in graph.ci_groups()
-            for _ in group_solutions(graph, group, CHAIN_RAW)
-        )
+        prepared, walk = _chain_walk(3, settled)
+        viable = sum(1 for _ in walk)
     counters = collector.metrics.snapshot()["counters"]
     assert viable == 813
-    total = counters["gci.combinations_total"]
+    total = prepared.total_combinations
     assert total == 14850
-    assert total == counters["gci.combinations_enumerated"] + counters.get(
-        "gci.combinations_skipped", 0
-    )
+    assert settled[0] == total
     assert 0 < counters["gci.combinations_pruned"] <= total
 
 
@@ -127,11 +120,11 @@ def test_chain_k3_raw_walk_prunes_dead_prefixes():
 def _chain_visits(k: int) -> tuple[int, int]:
     """States visited by the raw walk of the chain at ``k``: for the
     first solution only, and for all of them."""
-    problem = chain_problem(k)
     with obs.collect() as first:
-        solve(problem, max_solutions=1, limits=CHAIN_RAW)
+        next(_chain_walk(k)[1])
     with obs.collect() as every:
-        solve(problem, limits=CHAIN_RAW)
+        for _ in _chain_walk(k)[1]:
+            pass
     return first.states_visited, every.states_visited
 
 

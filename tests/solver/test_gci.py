@@ -11,9 +11,10 @@ from repro.constraints.depgraph import DepGraph
 from repro.constraints.terms import ConcatTerm, Const, Problem
 from repro.check.diagnostics import CODES, Severity
 from repro.solver import GciLimits, SolveLimitExceeded, gci, solve, solve_group
+from repro.solver.verify import check_assignment
 
 from .. import oracle
-from ..helpers import ABC, OVER_LIMIT_SOURCE, machine
+from ..helpers import ABC, OVER_LIMIT_SOURCE, machine, raw_walk
 
 DATA = pathlib.Path(__file__).parent.parent / "data"
 
@@ -22,11 +23,21 @@ def _const(name: str, pattern: str) -> Const:
     return Const.from_regex(name, pattern, ABC)
 
 
-def run_group(*constraints: Subset, limits: GciLimits | None = None):
-    problem = Problem(list(constraints), alphabet=ABC)
-    graph, _ = build_graph(problem)
+def _one_group(*constraints: Subset):
+    graph, _ = build_graph(Problem(list(constraints), alphabet=ABC))
     (group,) = graph.ci_groups()
-    return solve_group(graph, group, limits)
+    return graph, group
+
+
+def run_group(*constraints: Subset, limits: GciLimits | None = None):
+    return solve_group(*_one_group(*constraints), limits)
+
+
+def select_raw(*constraints: Subset, **limits):
+    """The selector fed the raw walk of a one-group system directly:
+    unmaximized slices, so some candidates are subsumed by others."""
+    prepared, walk = raw_walk(*_one_group(*constraints))
+    return list(gci._select(prepared, GciLimits(**limits), walk))
 
 
 def _dominated(candidates, i: int) -> bool:
@@ -41,13 +52,18 @@ def _dominated(candidates, i: int) -> bool:
 
 
 def _assert_frontier_is_eager_prune(graph, group, maximize: bool) -> None:
-    raw = list(
-        gci.group_solutions(
-            graph, group, GciLimits(prune_subsumed=False, maximize=maximize)
-        )
-    )
+    """The selector's frontier over the candidate stream — maximized, as
+    in production, or the raw walk — keeps exactly the survivors of an
+    eager pairwise scan of that stream."""
+
+    def candidates():
+        prepared, walk = raw_walk(graph, group)
+        return prepared, gci._maximized(prepared, walk) if maximize else walk
+
+    raw = [sol for _, sol in candidates()[1]]
     eager = [sol for i, sol in enumerate(raw) if not _dominated(raw, i)]
-    online = list(gci.group_solutions(graph, group, GciLimits(maximize=maximize)))
+    prepared, stream = candidates()
+    online = list(gci._select(prepared, GciLimits(), stream))
     assert len(online) == len(eager) > 0
     for want, got in zip(eager, online):
         assert all(equivalent(want[n], got[n]) for n in want)
@@ -249,23 +265,18 @@ class TestLimits:
     @pytest.mark.parametrize("pattern", ["ab|ab*|b", "(a|aa)(b|bb)|ab"])
     def test_raw_slice_frontier_equals_eager_prune(self, pattern):
         # Unmaximized slices: later candidates subsumed by earlier ones.
-        problem = Problem(
-            [Subset(Var("x").concat(Var("y")), _const("c", pattern))],
-            alphabet=ABC,
+        graph, group = _one_group(
+            Subset(Var("x").concat(Var("y")), _const("c", pattern))
         )
-        graph, _ = build_graph(problem)
-        (group,) = graph.ci_groups()
         _assert_frontier_is_eager_prune(graph, group, maximize=False)
 
     def test_prune_subsumed(self):
-        # Without maximization the per-transition slices of this system
-        # include subsumed entries; pruning must remove them.
-        limits = GciLimits(maximize=False, prune_subsumed=True)
-        solutions = run_group(
+        # The raw per-transition slices of this system include subsumed
+        # entries; the selector must remove them.
+        solutions = select_raw(
             Subset(Var("x"), _const("c1", "a*")),
             Subset(Var("y"), _const("c2", "(a|b)*")),
             Subset(Var("x").concat(Var("y")), _const("c3", "a*b")),
-            limits=limits,
         )
         for i, left in enumerate(solutions):
             for j, right in enumerate(solutions):
@@ -278,22 +289,25 @@ class TestLimits:
 
 
 class TestPruneTruncationRegression:
-    """``max_solutions=N`` with ``prune_subsumed=True`` must return N
-    *surviving* solutions whenever N exist.
+    """``max_solutions=N`` must return N *surviving* solutions whenever
+    N exist.
 
     The old implementation truncated the enumeration at N candidates
     and pruned afterwards, so a subsumed early candidate both shrank
     the returned count below N and could itself be returned despite
-    being non-maximal.  The ``ab|ab*|b`` group triggers it: the second
-    enumerated candidate ``({a}, {b})`` is strictly subsumed by the
-    third, ``({a}, b*)``.
+    being non-maximal.  The raw walk of the ``ab|ab*|b`` group triggers
+    it: the second candidate ``({a}, {b})`` is strictly subsumed by the
+    third, ``({a}, b*)``.  Maximization closes that gap before the
+    selector sees it, so the selector is fed the raw walk directly.
     """
 
-    def _solutions(self, **kwargs):
-        return run_group(
-            Subset(Var("x").concat(Var("y")), _const("c3", "ab|ab*|b")),
-            limits=GciLimits(maximize=False, **kwargs),
-        )
+    CONSTRAINT = Subset(Var("x").concat(Var("y")), _const("c3", "ab|ab*|b"))
+
+    def _candidates(self):
+        return [sol for _, sol in raw_walk(*_one_group(self.CONSTRAINT))[1]]
+
+    def _solutions(self, **limits):
+        return select_raw(self.CONSTRAINT, **limits)
 
     @staticmethod
     def _survivors(candidates):
@@ -309,32 +323,60 @@ class TestPruneTruncationRegression:
     def test_group_has_early_subsumed_candidate(self):
         # Precondition for the regression: an early candidate is
         # strictly subsumed by a later one.
-        candidates = self._solutions(prune_subsumed=False)
+        candidates = self._candidates()
         assert len(candidates) == 6
         early, later = candidates[1], candidates[2]
         assert all(is_subset(early[n], later[n]) for n in early)
         assert not all(is_subset(later[n], early[n]) for n in later)
 
     def test_capped_enumeration_returns_n_survivors(self):
-        full = self._solutions(prune_subsumed=True)
+        full = self._solutions()
         assert len(full) == 4
         # The old code returned only 2 solutions here (candidates 0-2
         # collected, the subsumed one pruned away).
-        capped = self._solutions(prune_subsumed=True, max_solutions=3)
+        capped = self._solutions(max_solutions=3)
         assert len(capped) == 3
         for got, want in zip(capped, full):
             assert all(equivalent(got[n], want[n]) for n in got)
 
     def test_capped_solutions_are_maximal(self):
         # The old code returned the subsumed candidate itself at N=2.
-        capped = self._solutions(prune_subsumed=True, max_solutions=2)
+        capped = self._solutions(max_solutions=2)
         assert len(capped) == 2
-        survivors = self._survivors(self._solutions(prune_subsumed=False))
+        survivors = self._survivors(self._candidates())
         for solution in capped:
             assert any(
                 all(equivalent(solution[n], keep[n]) for n in solution)
                 for keep in survivors
             )
+
+
+class TestRepeatedVariable:
+    """``_maximize_solution`` leaves a variable that occurs twice in one
+    constraint at its sliced value, and nothing reports it.  On
+    ``x ⊆ a*``, ``x·x ⊆ (aa)*`` the solver returns ``{ε}``, ``a(aa)*``
+    and ``(aa)+``; only ``a(aa)*`` is maximal (``{ε}`` and ``(aa)+``
+    both grow to ``(aa)*``)."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a repeated variable keeps its sliced value (ROADMAP item 5)",
+    )
+    def test_every_assignment_is_maximal(self):
+        x = Var("x")
+        problem = Problem(
+            [
+                Subset(x, _const("c1", "a*")),
+                Subset(x.concat(x), _const("c2", "(aa)*")),
+            ],
+            alphabet=ABC,
+        )
+        solutions = solve(problem)
+        assert len(solutions) > 0
+        for assignment in solutions:
+            report = check_assignment(problem, assignment)
+            assert report.satisfying, report.violations
+            assert report.maximal is not False, report.violations
 
 
 class TestOccurrenceSlices:
@@ -345,12 +387,11 @@ class TestOccurrenceSlices:
     @pytest.mark.parametrize("fixture", ["fig9.dprle", "wide.dprle", "wider.dprle"])
     def test_slices_match_reference_trim(self, fixture):
         graph, _ = build_graph(parse_problem((DATA / fixture).read_text()))
-        limits = GciLimits(maximize=False)
         for group in graph.ci_groups():
-            prepared = gci._prepare_group(graph, group, limits)
+            prepared, walk = raw_walk(graph, group)
             assert prepared is not None
             # Walk every combination so the memo holds every slice used.
-            for _ in gci._iter_candidates(prepared, limits, 0, None):
+            for _ in walk:
                 pass
             assert prepared.slice_memo
             for (occ_index, start_edge, final_edge), piece in (
@@ -385,10 +426,8 @@ class TestMaximizeOnePass:
         )
         graph, _ = build_graph(problem)
         (group,) = graph.ci_groups()
-        prepared = gci._prepare_group(graph, group, GciLimits())
-        _, solution = next(
-            gci._iter_candidates(prepared, GciLimits(maximize=False), 0, None)
-        )
+        prepared, walk = raw_walk(graph, group)
+        _, solution = next(walk)
         # Deliberately shrink x: one call grows it back to a*.
         solution[Node("var", "x")] = machine("a")
         result = gci._maximize_solution(prepared, solution)
@@ -401,12 +440,10 @@ class TestMaximizeOnePass:
     def test_idempotent_on_corpus_groups(self, fixture):
         graph, _ = build_graph(parse_problem((DATA / fixture).read_text()))
         for group in graph.ci_groups():
-            prepared = gci._prepare_group(graph, group, GciLimits())
+            prepared, walk = raw_walk(graph, group)
             if prepared is None:
                 continue
-            for _, solution in gci._iter_candidates(
-                prepared, GciLimits(), 0, None
-            ):
+            for _, solution in gci._maximized(prepared, walk):
                 again = gci._maximize_solution(prepared, solution)
                 assert again.keys() == solution.keys()
                 for node, grown in again.items():
