@@ -3,8 +3,9 @@
 The checker runs over a parsed problem's dependency graph before any
 subset construction: structural lints, two sound abstract domains
 (length intervals and character footprints), and a combination-space
-cost estimator.  See ``docs/DIAGNOSTICS.md`` for the diagnostic code
-table and the precheck soundness argument.
+cost estimator.  The solver never consults these domains; they only
+inform ``dprle check``.  See ``docs/DIAGNOSTICS.md`` for the diagnostic
+code table and the soundness argument behind D020/D021.
 """
 
 from .cost import GroupEstimate, estimate_group, estimate_groups

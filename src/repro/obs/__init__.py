@@ -620,11 +620,8 @@ def increment_metric(name: str, amount: int = 1) -> None:
     Unlike :func:`count_operation` this does not prefix ``op.`` or
     touch span operation tallies — it is the raw hook the language
     cache uses for its ``cache.hit.<op>`` / ``cache.miss.<op>`` /
-    ``cache.evictions`` counters, the GCI enumeration for its
-    ``gci.combinations_*`` series, and the opt-in solver precheck for
-    ``check.pruned_nodes`` (nodes the abstract domains short-circuited)
-    and ``check.proved_unsat`` (whole solves refuted before any
-    enumeration).  A no-op when nothing is collecting.
+    ``cache.evictions`` counters and the GCI enumeration for its
+    ``gci.combinations_*`` series.  A no-op when nothing is collecting.
     """
     active = _sinks.get()
     if active is not None:

@@ -97,7 +97,6 @@ SPANS: frozenset[str] = frozenset({
     "trace",
     "worker",
     "solve",
-    "precheck",
     "basic_constraints",
     "worklist_iteration",
     "ci",
@@ -138,8 +137,6 @@ COUNTERS: frozenset[str] = frozenset(
         "obs.spans_dropped",
         "cache.evictions",
         "cache.empty_shortcircuit",
-        "check.pruned_nodes",
-        "check.proved_unsat",
         "gci.combinations_total",
         "gci.combinations_enumerated",
         "gci.combinations_pruned",

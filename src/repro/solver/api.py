@@ -12,7 +12,6 @@ True
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional
 
 from .. import obs
@@ -43,16 +42,8 @@ class RegLangSolver:
         self,
         alphabet: Alphabet = BYTE_ALPHABET,
         cache: Optional[CacheLimits] = None,
-        workers: Optional[int] = None,
-        precheck: bool = False,
     ):
         self.alphabet = alphabet
-        # Default fan-out for solves (see repro.parallel): None defers
-        # to GciLimits/DPRLE_WORKERS, 0 forces serial, N>0 uses a pool.
-        self.workers = workers
-        # Opt-in sound pruning via the repro.check abstract domains
-        # (solution-preserving; see docs/DIAGNOSTICS.md).
-        self.precheck = precheck
         self._constraints: list[Subset] = []
         self._vars: dict[str, Var] = {}
         self._consts: dict[str, Const] = {}
@@ -174,10 +165,6 @@ class RegLangSolver:
         """
         from contextlib import ExitStack
 
-        if self.workers is not None and (limits is None or limits.workers is None):
-            limits = replace(limits or GciLimits(), workers=self.workers)
-        if self.precheck and (limits is None or not limits.precheck):
-            limits = replace(limits or GciLimits(), precheck=True)
         with self.cache.activate(), ExitStack() as stack:
             if journal is not None:
                 stack.enter_context(obs.journal_to(journal))

@@ -105,19 +105,11 @@ class GciLimits:
     bridge combinations are solved in-process even when workers are
     available — the task encode/decode would cost more than the
     enumeration.
-
-    ``precheck`` runs the :mod:`repro.check` abstract domains over the
-    graph before solving and prunes what they prove empty — basic
-    variables short-circuit to ∅ without any products, and a group
-    proved unsatisfiable skips the enumeration entirely.  The pruning
-    is solution-preserving (see ``docs/DIAGNOSTICS.md``); counters
-    ``check.pruned_nodes`` / ``check.proved_unsat`` record its effect.
     """
 
     max_solutions: Optional[int] = None
     max_combinations: int = 100_000
     workers: Optional[int] = None
-    precheck: bool = False
 
 
 @dataclass

@@ -98,18 +98,6 @@ def solve_graph(
                     solve_span.set("assignments", 0)
                     return SolutionSet([], query_names)
 
-        # -- Opt-in precheck: run the abstract domains once and prune
-        # whatever they prove empty.  Sound relative to the stages
-        # below: a basic variable proved empty would intersect to ∅
-        # anyway, and a group with a forced-empty node admits no viable
-        # bridge combination (see repro.check.domains).
-        abstraction = None
-        if limits.precheck:
-            from ..check.domains import evaluate_graph
-
-            with obs.span("precheck"):
-                abstraction = evaluate_graph(graph)
-
         # -- Stage 1: basic constraints (Fig. 7 lines 3-8).
         base: dict[str, Nfa] = {}
         with obs.span("basic_constraints"):
@@ -117,13 +105,6 @@ def solve_graph(
                 if graph.in_some_concat(node):
                     continue
                 if wanted is not None and node.name not in wanted:
-                    continue
-                if abstraction is not None and abstraction.proved_empty(node):
-                    # The inbound intersection is provably ∅; skip the
-                    # products and assign the canonical empty machine
-                    # (language-equal to what the intersection yields).
-                    obs.increment_metric("check.pruned_nodes")
-                    base[node.name] = Nfa.never(graph.alphabet)
                     continue
                 machine = Nfa.universal(graph.alphabet)
                 for const_node in graph.inbound_subsets(node):
@@ -164,25 +145,6 @@ def solve_graph(
                     groups=len(groups),
                     groups_estimated=estimated,
                 )
-
-        if abstraction is not None:
-            for group in groups:
-                if abstraction.unsat_witness(group) is None:
-                    continue
-                try:
-                    graph.group_temps_in_order(group)
-                except ValueError:
-                    continue  # cyclic group: let the real path report it
-                # The group admits no viable bridge combination, so
-                # every work item dies at it: the instance has exactly
-                # zero assignments, which is what we return.
-                obs.increment_metric("check.proved_unsat")
-                obs.increment_metric(
-                    "check.pruned_nodes",
-                    sum(1 for node in group if node.is_var),
-                )
-                solve_span.set("assignments", 0)
-                return SolutionSet([], query_names)
 
         # The BFS below consumes at most max(1, max_solutions) solutions
         # per group, so push that bound down into the group enumeration:

@@ -37,7 +37,6 @@ defaults.
 
 Examples::
 
-    dprle solve constraints.dprle --precheck
     dprle check constraints.dprle --json --fail-on warning
     dprle analyze vulnerable.php --attack tautology
     dprle corpus --out ./corpus
@@ -92,12 +91,9 @@ def _add_observability_flags(subparser: argparse.ArgumentParser) -> None:
 
 
 def _cli_limits(args: argparse.Namespace) -> Optional[GciLimits]:
-    """GCI limits from CLI flags; None when every flag is at its
-    default (so library defaults — including DPRLE_WORKERS — apply)."""
-    precheck = bool(getattr(args, "precheck", False))
-    if args.workers is None and not precheck:
-        return None
-    return GciLimits(workers=args.workers, precheck=precheck)
+    """GCI limits from CLI flags; None when ``--workers`` is unset (so
+    library defaults — including DPRLE_WORKERS — apply)."""
+    return None if args.workers is None else GciLimits(workers=args.workers)
 
 
 def _run_observed(args: argparse.Namespace, body) -> int:
@@ -170,11 +166,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     solve_cmd.add_argument(
         "--witness-only", action="store_true",
         help="print one concrete string per variable instead of regexes",
-    )
-    solve_cmd.add_argument(
-        "--precheck", action="store_true",
-        help="run the repro.check abstract domains first and prune "
-        "provably-empty nodes (solution-preserving; docs/DIAGNOSTICS.md)",
     )
     _add_observability_flags(solve_cmd)
 

@@ -125,27 +125,10 @@ class TestMalformedInputRouting:
         assert "error[D002]" in err
 
 
-class TestSolvePrecheck:
-    def test_precheck_short_circuits_unsat_static(self, capsys, tmp_path):
-        stats = tmp_path / "stats.json"
-        code, out, _ = run(
-            capsys,
-            "solve", DATA / "unsat_static.dprle",
-            "--precheck", "--stats-json", stats,
-        )
+class TestSolveStaticallyUnsat:
+    def test_solve_unsat_static_reports_no_assignments(self, capsys):
+        # The file `dprle check` refutes (D020/D021) is refuted by the
+        # ordinary solve as well.
+        code, out, _ = run(capsys, "solve", DATA / "unsat_static.dprle")
         assert code == 1
         assert "no assignments found" in out
-        counters = json.loads(stats.read_text())["metrics"]["counters"]
-        assert counters["check.proved_unsat"] == 1
-        assert counters["check.pruned_nodes"] > 0
-
-    def test_precheck_same_output_on_sat_file(self, capsys):
-        _, plain, _ = run(capsys, "solve", DATA / "motivating.dprle")
-        _, prechecked, _ = run(
-            capsys, "solve", DATA / "motivating.dprle", "--precheck"
-        )
-        # Identical up to the timing line.
-        strip = lambda s: [
-            line for line in s.splitlines() if not line.startswith("(")
-        ]
-        assert strip(plain) == strip(prechecked)

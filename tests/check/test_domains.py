@@ -6,11 +6,12 @@ characters inside ``abstract_of(m).chars`` — and the graph evaluation
 must preserve that per-node for satisfying assignments.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.automata.analysis import enumerate_strings
 from repro.automata.charset import CharSet
 from repro.automata.nfa import Nfa
+from repro.check import check_problem
 from repro.check.domains import (
     AbstractLang,
     LengthInterval,
@@ -19,6 +20,8 @@ from repro.check.domains import (
 )
 from repro.constraints.depgraph import build_graph
 from repro.constraints.dsl import parse_problem
+from repro.constraints.terms import Const, Problem, Subset, Var
+from repro.solver import solve
 
 from ..helpers import AB, ABC, machine
 from ..prop.strategies import machines
@@ -172,9 +175,6 @@ class TestEvaluateGraph:
     def test_graph_soundness_on_random_systems(self, c1, c2, c3):
         """Every satisfying assignment's languages must lie inside the
         per-node abstractions (checked via the solver's witnesses)."""
-        from repro.constraints.terms import Const, Problem, Subset, Var
-        from repro.solver import solve
-
         problem = Problem(
             [
                 Subset(Var("x"), Const("c1", c1)),
@@ -196,3 +196,59 @@ class TestEvaluateGraph:
                     assert value.length.lo <= len(text)
                     if value.length.hi is not None:
                         assert len(text) <= value.length.hi
+
+
+class TestCheckVerdictsAgreeWithSolve:
+    """``dprle check``'s refutations are sound against the real solve.
+
+    On random systems with one CI-group (``x·y``, the serial/parallel
+    suite's shape) or one concat-free variable, a D021 (instance proved
+    unsatisfiable) means ``solve`` finds zero assignments, and a D020 on
+    a basic variable (one in no concatenation) means every assignment
+    maps it to ∅.  The pinned examples make sure both verdicts fire on
+    every run.
+    """
+
+    @staticmethod
+    def _assert_verdicts_hold(problem):
+        graph, _ = build_graph(problem)
+        basic = {
+            node.name
+            for node in graph.var_nodes()
+            if not graph.in_some_concat(node)
+        }
+        report = check_problem(problem)
+        result = solve(problem)
+        for diagnostic in report.diagnostics:
+            if diagnostic.code == "D021":
+                assert len(result) == 0
+            elif diagnostic.code == "D020" and diagnostic.node in basic:
+                for assignment in result:
+                    assert assignment[diagnostic.node].is_empty()
+
+    @settings(max_examples=100, deadline=None)
+    @given(machines(max_depth=2), machines(max_depth=2), machines(max_depth=2))
+    @example(machine("aaa", AB), machine("b*", AB), machine("a{0,2}", AB))
+    def test_rma_systems(self, c1, c2, c3):
+        problem = Problem(
+            [
+                Subset(Var("x"), Const("c1", c1)),
+                Subset(Var("y"), Const("c2", c2)),
+                Subset(Var("x").concat(Var("y")), Const("c3", c3)),
+            ],
+            alphabet=AB,
+        )
+        self._assert_verdicts_hold(problem)
+
+    @settings(max_examples=100, deadline=None)
+    @given(machines(max_depth=2), machines(max_depth=2))
+    @example(machine("a+", AB), machine("b+", AB))
+    def test_basic_systems(self, c1, c2):
+        problem = Problem(
+            [
+                Subset(Var("x"), Const("c1", c1)),
+                Subset(Var("x"), Const("c2", c2)),
+            ],
+            alphabet=AB,
+        )
+        self._assert_verdicts_hold(problem)

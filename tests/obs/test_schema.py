@@ -1,8 +1,7 @@
 """Runtime exhaustiveness: the schema registry and reality agree.
 
-Solves the wide corpus — serial, and parallel with the precheck
-domains switched on — under a collector, then checks the
-observed telemetry against :mod:`repro.obs.schema` in both directions:
+Solves the wide corpus — serial, and parallel — under a collector,
+then checks the observed telemetry against :mod:`repro.obs.schema` in both directions:
 
 * **observed ⊆ schema** for every instrument kind: a name the solver
   emits that the registry does not know is a schema bug (and would
@@ -41,9 +40,7 @@ def wide_serial():
 def wider_parallel():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(parallel, "MIN_PARALLEL_COMBINATIONS", 1)
-        return _solve_under_collector(
-            "wider.dprle", workers=2, precheck=True
-        )
+        return _solve_under_collector("wider.dprle", workers=2)
 
 
 def _registry(collector):
@@ -72,9 +69,7 @@ class TestObservedSubsetOfSchema:
             ("histograms", schema.is_known_histogram),
         ],
     )
-    def test_wider_parallel_prechecked(
-        self, wider_parallel, kind, checker
-    ):
+    def test_wider_parallel(self, wider_parallel, kind, checker):
         observed = _registry(wider_parallel)[kind]
         unknown = sorted(name for name in observed if not checker(name))
         assert unknown == [], f"unregistered {kind}: {unknown}"
@@ -113,13 +108,6 @@ class TestRequiredCoreObserved:
         ):
             assert name in registry["histograms"]
         assert "parallel.utilization" in registry["gauges"]
-
-    def test_precheck_series_fire(self, wider_parallel):
-        observed = set(_registry(wider_parallel)["counters"])
-        # The precheck ran (its span counter fired) — on this corpus it
-        # proves nothing empty, so the pruned/proved counters stay
-        # conditional.
-        assert "span.precheck" in observed
 
 
 class TestSchemaInternalConsistency:

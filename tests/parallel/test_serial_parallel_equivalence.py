@@ -75,7 +75,7 @@ def test_fixture_solutions_identical(fixture, workers):
 
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
-def test_fig9_unmaximized_and_capped_identical(workers):
+def test_fig9_capped_identical(workers):
     problem = parse_problem((DATA / "fig9.dprle").read_text())
     for kwargs in ({"max_solutions": 1}, {"max_solutions": 2}):
         reference = solve(problem, limits=_limits(0, **kwargs))
