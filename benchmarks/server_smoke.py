@@ -1,11 +1,13 @@
 """CI smoke check: the solve daemon end to end, including shutdown.
 
-Starts a real ``dprle serve`` subprocess against a temporary
-``--cache-db``, runs the scripted client conversation CI gates on —
-a solve, a check, a stats read, and a deliberately expired deadline
+Starts a real ``dprle serve --workers 2`` subprocess, in its own
+session, against a temporary ``--cache-db``, runs the scripted client
+conversation CI gates on — a solve that reaches the worker pool, a
+check, a stats read, and a deliberately expired deadline
 (``deadline_ms=0`` must produce a deterministic 504, not a hang or a
 drop) — then SIGTERMs the server and requires the full drain
-handshake: "shutdown complete" on stdout and exit code 0.  The final
+handshake: "shutdown complete" on stdout, exit code 0, and no process
+of the session (a pool worker) left behind.  The final
 ``/stats`` document is written to ``server-stats.json`` so CI can
 upload it as an artifact.  This is a guard rail, not a benchmark; the
 daemon's timings come from perfbench's ``server_mix`` workload.
@@ -17,6 +19,7 @@ Usage::
 
 from __future__ import annotations
 
+import contextlib
 import http.client
 import json
 import os
@@ -60,6 +63,18 @@ def _expect(condition: bool, message: str) -> None:
         raise SystemExit(1)
 
 
+def _session_gone(session: int) -> bool:
+    """True once no process is left in the daemon's process group
+    (polled for about five seconds)."""
+    for _ in range(100):
+        try:
+            os.killpg(session, 0)
+        except ProcessLookupError:
+            return True
+        time.sleep(0.05)
+    return False
+
+
 def main() -> int:
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
@@ -68,11 +83,13 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="dprle-smoke-") as tmp:
         process = subprocess.Popen(
             [sys.executable, "-m", "repro.tools.cli", "serve",
-             "--port", "0", "--cache-db", str(pathlib.Path(tmp) / "sig.db")],
+             "--port", "0", "--workers", "2",
+             "--cache-db", str(pathlib.Path(tmp) / "sig.db")],
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             text=True,
             env=env,
+            start_new_session=True,
         )
         try:
             port = None
@@ -124,6 +141,14 @@ def main() -> int:
                 stats["cache"]["store"]["writes"] > 0,
                 "store never saw a write-through",
             )
+            _expect(
+                any(
+                    name.startswith("parallel.")
+                    for series in stats["metrics"].values()
+                    for name in series
+                ),
+                "the solve never reached the worker pool",
+            )
             STATS_OUT.write_text(json.dumps(stats, indent=2) + "\n")
             print(f"stats ok -> {STATS_OUT}")
 
@@ -137,10 +162,15 @@ def main() -> int:
                 "dprle serve: shutdown complete" in out,
                 f"no shutdown handshake in output: {out}",
             )
-            print("shutdown ok (drained, exit 0)")
+            _expect(
+                _session_gone(process.pid),
+                "a process of the daemon's session outlived it",
+            )
+            print("shutdown ok (drained, exit 0, no process left)")
         finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(process.pid, signal.SIGKILL)
             if process.poll() is None:
-                process.kill()
                 process.communicate()
     return 0
 

@@ -154,7 +154,6 @@ COUNTERS: frozenset[str] = frozenset(
         "server.requests",
         "server.errors",
         "server.deadline_exceeded",
-        "server.batches",
     }
     | {f"op.{name}" for name in OPERATIONS}
     | {f"span.{name}" for name in SPANS}
@@ -185,7 +184,6 @@ HISTOGRAMS: frozenset[str] = frozenset(
         "parallel.chunk_combinations",
         "parallel.queue_wait_seconds",
         "server.request_seconds",
-        "server.batch_size",
         "server.queue_wait_seconds",
     }
     | {f"span_seconds.{name}" for name in SPANS}

@@ -38,6 +38,7 @@ from __future__ import annotations
 import atexit
 import itertools
 import os
+import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import Future, ProcessPoolExecutor
@@ -99,10 +100,31 @@ def resolve_workers(requested: Optional[int], space: Optional[int] = None) -> in
 _pools: dict[int, ProcessPoolExecutor] = {}
 
 
+def _exit_with_parent(parent: int) -> None:
+    """Pool initializer: end this worker once its parent process is gone.
+
+    A parent killed outright never shuts its pool down, and an orphaned
+    worker would live on holding the parent's inherited descriptors (a
+    daemon's stdout pipe among them).  A daemon thread polls for the
+    reparenting that follows the parent's death.
+    """
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.2)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="dprle-parent-watch", daemon=True).start()
+
+
 def _get_pool(workers: int) -> ProcessPoolExecutor:
     pool = _pools.get(workers)
     if pool is None:
-        pool = ProcessPoolExecutor(max_workers=workers)
+        pool = ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_exit_with_parent,
+            initargs=(os.getpid(),),
+        )
         _pools[workers] = pool
     return pool
 

@@ -2,10 +2,9 @@
 
 One frozen dataclass carries every knob from the CLI into
 :mod:`repro.server.daemon`; tests construct it directly.  Defaults are
-chosen for a local single-replica daemon: loopback only, a small batch
-window (enough to coalesce a concurrent burst without adding visible
-latency to a lone request), and no persistent store unless a
-``--cache-db`` path is given.
+chosen for a local single-replica daemon: loopback only, no default
+deadline, and no persistent store unless a ``--cache-db`` path is
+given.
 """
 
 from __future__ import annotations
@@ -34,11 +33,6 @@ class ServerConfig:
     #: Default worker fan-out for solves (``repro.parallel``): None
     #: defers to ``DPRLE_WORKERS``, 0 forces serial.
     workers: Optional[int] = None
-    #: How long the batcher waits after the first queued job for
-    #: compatible company, in seconds.  0 disables coalescing.
-    batch_window: float = 0.005
-    #: Max jobs dispatched as one batch.
-    max_batch: int = 16
     #: Deadline applied to requests that do not carry their own
     #: ``deadline_ms``; None means no default deadline.
     default_deadline: Optional[float] = None
@@ -52,9 +46,5 @@ class ServerConfig:
     def __post_init__(self) -> None:
         if self.port < 0 or self.port > 65535:
             raise ValueError(f"port out of range: {self.port}")
-        if self.max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        if self.batch_window < 0:
-            raise ValueError("batch_window must be >= 0")
         if self.max_body_bytes < 1:
             raise ValueError("max_body_bytes must be >= 1")

@@ -2,34 +2,38 @@
 
 ``dprle serve`` turns the one-shot CLI into a persistent service (the
 deployment shape the paper's PHP analysis implies: one resident
-decision procedure answering many queries).  The architecture is three
+decision procedure answering many queries).  The architecture is two
 loops sharing one process:
 
 * **Connection handlers** (one task per TCP connection) parse HTTP
   requests (:mod:`repro.server.httpio`), answer ``/healthz`` and
   ``/stats`` inline, and turn ``/solve``, ``/check``, ``/analyze`` and
-  ``/rpc`` bodies into queued jobs, then await each job's future.
-* **The batcher** (:mod:`repro.server.batch`) coalesces queued jobs
-  into compatible batches.
-* **One dispatcher** pulls batches and executes them — one batch at a
-  time, on a worker thread via ``asyncio.to_thread`` — against the
+  ``/rpc`` bodies into jobs on one FIFO queue, then await each job's
+  future.
+* **One dispatcher** takes the oldest job and executes it — one job at
+  a time, on a worker thread via ``asyncio.to_thread`` — against the
   daemon-lifetime :class:`~repro.cache.LangCache` (optionally backed by
   the persistent :class:`~repro.cache.store.SignatureStore`).  Running
-  exactly one batch at a time is a correctness choice, not an accident:
+  exactly one job at a time is a correctness choice, not an accident:
   the language cache and the observability collector are shared
   mutable state, and the solver's own parallelism
   (:mod:`repro.parallel`, driven by the ``workers`` knob) is where
   multi-core wins come from.
 
+Every job carries an absolute deadline (or none), stamped at enqueue
+on the event loop's clock.  The dispatcher checks it once, at dequeue:
+an expired job is *answered* with a deadline error, never dropped; a
+job that starts in time runs to completion.
+
 Telemetry: the daemon keeps a lifetime collector whose registry backs
 ``/stats``; every answered request counts ``server.requests`` (and
 ``server.errors`` / ``server.deadline_exceeded`` as applicable), every
-batch executes under a ``server_request`` span per job — which is what
-mints per-request trace ids in the ``--journal`` event stream — and
-queue behavior is visible as ``server.queue_depth`` /
-``server.queue_wait_seconds`` / ``server.batch_size``.  All clock
-reads use the event loop's clock (``loop.time()``), keeping raw
-``time.*`` calls out of the server per the ``L040`` timing rule.
+job executes under a ``server_request`` span — which is what mints
+per-request trace ids in the ``--journal`` event stream — and queue
+behavior is visible as ``server.queue_depth`` /
+``server.queue_wait_seconds`` / ``server.inflight``.  All clock reads
+use the event loop's clock (``loop.time()``), keeping raw ``time.*``
+calls out of the server per the ``L040`` timing rule.
 
 Shutdown (SIGTERM/SIGINT) is a drain, not a drop: stop accepting
 connections, let every already-read request finish and answer, run the
@@ -45,14 +49,14 @@ import signal
 import sys
 import threading
 from contextlib import ExitStack
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from .. import obs
 from ..cache import LangCache
 from ..cache.store import SignatureStore
-from .batch import Batcher, DeadlineExceeded, Job
 from .config import ServerConfig
-from .handlers import BATCHED_KINDS, RequestError, compat_key, run_job
+from .handlers import QUEUED_KINDS, RequestError, run_job
 from .httpio import HttpError, HttpRequest, read_request, render_response
 
 __all__ = ["SCHEMA", "SolveDaemon", "serve"]
@@ -60,16 +64,33 @@ __all__ = ["SCHEMA", "SolveDaemon", "serve"]
 #: Version header of every response envelope.
 SCHEMA = "dprle.server/1"
 
-#: Bucket boundaries for the ``server.batch_size`` histogram.
-_BATCH_BUCKETS: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
-
-#: Grace added to a request's deadline before the *client side* of the
-#: daemon gives up on the future: the dispatcher is the authority on
-#: deadline expiry (it answers expired jobs), this margin only covers
-#: the dispatcher being mid-batch when the deadline lapses.
+#: Grace added to a request's deadline before the *connection side* of
+#: the daemon gives up on the future: the dispatcher is the authority on
+#: deadline expiry (it answers a job that has expired by dequeue), and
+#: this margin lets its verdict win when the deadline lapses while an
+#: earlier job runs.  A job that is already running when its deadline
+#: lapses is not interrupted; the connection answers 504 after the grace.
 _DEADLINE_GRACE = 0.25
 
-_BatchOutcome = tuple[Job, Optional[dict[str, Any]], Optional[BaseException]]
+
+class DeadlineExceeded(Exception):
+    """The job's deadline passed before it was dequeued."""
+
+
+@dataclass
+class Job:
+    """One queued request, resolved through ``future``."""
+
+    kind: str
+    payload: dict[str, Any]
+    future: "asyncio.Future[dict[str, Any]]"
+    #: Event-loop timestamp at enqueue (for queue-wait telemetry).
+    enqueued_at: float
+    #: Absolute event-loop deadline, or None for no deadline.
+    deadline: Optional[float] = None
+
+    def expired(self, now: float) -> bool:
+        return self.deadline is not None and now > self.deadline
 
 
 def _consume_exception(future: "asyncio.Future[dict[str, Any]]") -> None:
@@ -91,9 +112,10 @@ class SolveDaemon:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop_event = asyncio.Event()
         self._stopping = False
-        self._batcher = Batcher(
-            batch_window=config.batch_window, max_batch=config.max_batch
-        )
+        #: FIFO of jobs; ``None`` is the end-of-queue mark put by the
+        #: drain, after which :attr:`_closed` refuses new jobs.
+        self._queue: "asyncio.Queue[Optional[Job]]" = asyncio.Queue()
+        self._closed = False
         self._conn_tasks: "set[asyncio.Task[None]]" = set()
         self._collector: Optional[obs.Collector] = None
         self._cache: Optional[LangCache] = None
@@ -186,7 +208,8 @@ class SolveDaemon:
         await server.wait_closed()
         if self._conn_tasks:
             await asyncio.wait(set(self._conn_tasks), timeout=60.0)
-        self._batcher.close()
+        self._closed = True
+        self._queue.put_nowait(None)
         await dispatcher
         for task in list(self._conn_tasks):
             task.cancel()
@@ -204,35 +227,25 @@ class SolveDaemon:
     async def _dispatch(self) -> None:
         assert self._loop is not None
         metrics = self._metrics()
-        while True:
-            batch = await self._batcher.next_batch()
-            metrics.gauge("server.queue_depth").set(float(len(self._batcher)))
-            if batch is None:
-                return
+        while (job := await self._queue.get()) is not None:
+            metrics.gauge("server.queue_depth").set(float(self._queue.qsize()))
             now = self._loop.time()
-            ready: list[Job] = []
-            for job in batch:
-                metrics.histogram("server.queue_wait_seconds").observe(
-                    now - job.enqueued_at
-                )
-                if job.expired(now):
-                    self._resolve(
-                        job, None,
-                        DeadlineExceeded("deadline passed while queued"),
-                    )
-                else:
-                    ready.append(job)
-            if not ready:
-                continue
-            metrics.counter("server.batches").inc()
-            metrics.histogram("server.batch_size", _BATCH_BUCKETS).observe(
-                float(len(ready))
+            metrics.histogram("server.queue_wait_seconds").observe(
+                now - job.enqueued_at
             )
-            metrics.gauge("server.inflight").set(float(len(ready)))
-            outcomes = await asyncio.to_thread(self._run_batch, ready)
+            if job.expired(now):
+                self._resolve(
+                    job, None, DeadlineExceeded("deadline passed while queued")
+                )
+                continue
+            metrics.gauge("server.inflight").set(1.0)
+            try:
+                result = await asyncio.to_thread(self._run, job)
+            except Exception as error:  # answered, not fatal to the daemon
+                self._resolve(job, None, error)
+            else:
+                self._resolve(job, result, None)
             metrics.gauge("server.inflight").set(0.0)
-            for job, result, error in outcomes:
-                self._resolve(job, result, error)
 
     def _resolve(
         self,
@@ -247,8 +260,8 @@ class SolveDaemon:
         else:
             job.future.set_result(result if result is not None else {})
 
-    def _run_batch(self, batch: list[Job]) -> list[_BatchOutcome]:
-        """Execute one batch on the worker thread.
+    def _run(self, job: Job) -> dict[str, Any]:
+        """Execute one job on the worker thread.
 
         ``asyncio.to_thread`` propagates the dispatcher's context, so
         the daemon's cache activation, collector, and journal sink are
@@ -256,23 +269,8 @@ class SolveDaemon:
         the collector root, which is what assigns each request its
         journal trace id.
         """
-        assert self._loop is not None
-        outcomes: list[_BatchOutcome] = []
-        for job in batch:
-            if job.expired(self._loop.time()):
-                outcomes.append(
-                    (job, None,
-                     DeadlineExceeded("deadline passed mid-batch"))
-                )
-                continue
-            try:
-                with obs.span("server_request", endpoint=job.kind):
-                    result = run_job(job.kind, job.payload, self._config)
-            except Exception as error:  # answered, not fatal to the daemon
-                outcomes.append((job, None, error))
-            else:
-                outcomes.append((job, result, None))
-        return outcomes
+        with obs.span("server_request", endpoint=job.kind):
+            return run_job(job.kind, job.payload, self._config)
 
     # -- connections ---------------------------------------------------
 
@@ -397,9 +395,9 @@ class SolveDaemon:
         if path == "/stats":
             self._require_method(method, "GET")
             return 200, self._stats_doc()
-        if path in ("/solve", "/check", "/analyze"):
+        kind = path[1:]
+        if kind in QUEUED_KINDS:
             self._require_method(method, "POST")
-            kind = path[1:]
             payload = self._parse_body(request.body)
             result = await self._enqueue_and_wait(kind, payload)
             return 200, {"schema": SCHEMA, "endpoint": kind, "result": result}
@@ -429,19 +427,14 @@ class SolveDaemon:
         assert self._loop is not None
         now = self._loop.time()
         deadline = self._deadline_for(payload, now)
-        future: "asyncio.Future[dict[str, Any]]" = self._loop.create_future()
-        job = Job(
-            kind=kind,
-            payload=payload,
-            compat=compat_key(kind, payload, self._config),
-            future=future,
-            enqueued_at=now,
-            deadline=deadline,
-        )
-        if not self._batcher.put(job):
+        if self._closed:
             raise RequestError(503, "server is shutting down")
+        future: "asyncio.Future[dict[str, Any]]" = self._loop.create_future()
+        self._queue.put_nowait(
+            Job(kind, payload, future, enqueued_at=now, deadline=deadline)
+        )
         self._metrics().gauge("server.queue_depth").set(
-            float(len(self._batcher))
+            float(self._queue.qsize())
         )
         if deadline is None:
             return await future
@@ -486,7 +479,7 @@ class SolveDaemon:
             return _rpc_result(rpc_id, self._health_doc())
         if method == "stats":
             return _rpc_result(rpc_id, self._stats_doc())
-        if method not in BATCHED_KINDS:
+        if method not in QUEUED_KINDS:
             return _rpc_error(rpc_id, -32601, f"method not found: {method}")
         try:
             result = await self._enqueue_and_wait(method, params)
@@ -512,7 +505,7 @@ class SolveDaemon:
             "schema": SCHEMA,
             "uptime_s": self._loop.time() - self._started,
             "stopping": self._stopping,
-            "queue_depth": len(self._batcher),
+            "queue_depth": self._queue.qsize(),
             "cache": self._cache.stats(),
             "metrics": self._metrics().snapshot(),
         }

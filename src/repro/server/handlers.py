@@ -1,7 +1,7 @@
 """Request handlers: JSON payloads in, JSON-ready documents out.
 
 These are plain synchronous functions — the daemon's dispatcher runs
-them on a worker thread (one batch at a time) with the shared language
+them on a worker thread (one job at a time) with the shared language
 cache and the server's telemetry sinks active in the calling context,
 so everything below is ordinary solver code: the same
 :func:`repro.solver.worklist.solve`, :func:`repro.check.check_problem`,
@@ -23,13 +23,13 @@ from ..analysis.attacks import ALL_ATTACKS, CONTAINS_QUOTE
 from ..constraints.dsl import DslError, parse_problem
 from ..solver.gci import GciLimits, SolveLimitExceeded
 from ..solver.worklist import solve as solve_problem
-from .batch import CompatKey
 from .config import ServerConfig
 
-__all__ = ["RequestError", "compat_key", "run_job"]
+__all__ = ["QUEUED_KINDS", "RequestError", "run_job"]
 
-#: Endpoints that go through the batcher (vs. answered inline).
-BATCHED_KINDS: frozenset[str] = frozenset({"solve", "check", "analyze"})
+#: Endpoints whose requests become jobs on the daemon's queue (the
+#: others are answered inline).
+QUEUED_KINDS: frozenset[str] = frozenset({"solve", "check", "analyze"})
 
 
 class RequestError(Exception):
@@ -93,25 +93,14 @@ def _query_field(payload: dict[str, Any]) -> Optional[list[str]]:
     return list(value)
 
 
-def _effective_workers(
-    payload: dict[str, Any], config: ServerConfig
-) -> Optional[int]:
-    """The worker fan-out after the per-request override."""
-    workers = _opt_int_field(payload, "workers")
-    return config.workers if workers is None else workers
-
-
-def compat_key(
-    kind: str, payload: dict[str, Any], config: ServerConfig
-) -> CompatKey:
-    """The batching key: jobs agreeing on it may share a batch."""
-    return (kind, str(_effective_workers(payload, config)))
-
-
 def _limits(
     payload: dict[str, Any], config: ServerConfig
 ) -> Optional[GciLimits]:
-    workers = _effective_workers(payload, config)
+    """Limits carrying the worker fan-out after the per-request
+    override; None when neither the request nor the server sets it."""
+    workers = _opt_int_field(payload, "workers")
+    if workers is None:
+        workers = config.workers
     if workers is None:
         return None
     return GciLimits(workers=workers)
@@ -120,7 +109,7 @@ def _limits(
 def run_job(
     kind: str, payload: dict[str, Any], config: ServerConfig
 ) -> dict[str, Any]:
-    """Execute one batched job; the daemon wraps this in the
+    """Execute one queued job; the daemon wraps this in the
     ``server_request`` span and the shared cache activation.  A solve
     over a :class:`GciLimits` bound is the request's problem, not a
     server fault: 422 with the limit's D-code."""

@@ -271,15 +271,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         "0 forces serial, default honours DPRLE_WORKERS",
     )
     serve_cmd.add_argument(
-        "--batch-window-ms", type=float, default=5.0, metavar="MS",
-        help="how long to wait for compatible jobs to coalesce into a "
-        "batch (default %(default)s; 0 disables coalescing)",
-    )
-    serve_cmd.add_argument(
-        "--max-batch", type=int, default=16, metavar="N",
-        help="max jobs dispatched as one batch (default %(default)s)",
-    )
-    serve_cmd.add_argument(
         "--default-deadline-ms", type=float, default=None, metavar="MS",
         help="deadline applied to requests without their own "
         "deadline_ms (default: none)",
@@ -643,8 +634,6 @@ def _run_serve(args: argparse.Namespace) -> int:
             port=args.port,
             cache_db=args.cache_db,
             workers=args.workers,
-            batch_window=max(args.batch_window_ms, 0.0) / 1000.0,
-            max_batch=args.max_batch,
             default_deadline=(
                 None
                 if args.default_deadline_ms is None

@@ -1,4 +1,4 @@
-"""In-process tests for the daemon: endpoints, deadlines, batching.
+"""In-process tests for the daemon: endpoints, deadlines, the job queue.
 
 The daemon runs on a background thread with its own event loop
 (``port=0``, real sockets on loopback) and is driven with
@@ -12,11 +12,12 @@ import http.client
 import json
 import pathlib
 import threading
+import time
 
 import pytest
 
 from repro.server import SCHEMA, ServerConfig, SolveDaemon
-from repro.server.handlers import compat_key
+from repro.server import daemon as daemon_module
 
 from ..helpers import OVER_LIMIT_SOURCE
 
@@ -30,7 +31,6 @@ class DaemonHarness:
 
     def __init__(self, **overrides):
         overrides.setdefault("port", 0)
-        overrides.setdefault("batch_window", 0.002)
         self.daemon = SolveDaemon(ServerConfig(**overrides))
         self.exit_code = None
         self._thread = threading.Thread(target=self._run, daemon=True)
@@ -242,42 +242,55 @@ class TestJsonRpc:
         assert doc["error"]["code"] == -32602
 
 
-class TestBatching:
-    def test_concurrent_burst_coalesces(self):
-        # A wide batch window plus a synchronized burst: the batcher
-        # must put at least two compatible jobs in one batch.
-        with DaemonHarness(batch_window=0.25, max_batch=8) as harness:
-            barrier = threading.Barrier(4)
-            results = []
+class TestJobQueue:
+    def test_jobs_complete_in_arrival_order(self, monkeypatch):
+        """One FIFO: queued jobs run in arrival order whatever their
+        endpoint, so a check never overtakes an earlier solve."""
+        completed = []
+        a_started = threading.Event()
+        release_a = threading.Event()
+        run_job = daemon_module.run_job
 
-            def fire():
-                barrier.wait()
-                results.append(
-                    harness.request(
-                        "POST", "/solve", {"source": SIMPLE_SOURCE}
-                    )
+        def recording_job(kind, payload, config):
+            if payload.get("label") == "A":
+                a_started.set()
+                assert release_a.wait(timeout=60)
+            result = run_job(kind, payload, config)
+            completed.append(payload.get("label"))
+            return result
+
+        # The dispatcher looks run_job up by name on every job.
+        monkeypatch.setattr(daemon_module, "run_job", recording_job)
+        with DaemonHarness() as harness:
+            statuses = {}
+
+            def send(label, kind):
+                status, _ = harness.request(
+                    "POST", f"/{kind}", {"source": SIMPLE_SOURCE, "label": label}
                 )
+                statuses[label] = status
 
-            threads = [threading.Thread(target=fire) for _ in range(4)]
-            for thread in threads:
+            def wait_for_queue_depth(depth):
+                deadline = time.monotonic() + 30
+                while harness.request("GET", "/stats")[1]["queue_depth"] != depth:
+                    assert time.monotonic() < deadline, "job never queued"
+                    time.sleep(0.01)
+
+            threads = [threading.Thread(target=send, args=("A", "solve"))]
+            threads[0].start()
+            assert a_started.wait(timeout=30)
+            for depth, (label, kind) in enumerate(
+                [("B", "check"), ("C", "solve"), ("D", "check")], start=1
+            ):
+                thread = threading.Thread(target=send, args=(label, kind))
                 thread.start()
+                threads.append(thread)
+                wait_for_queue_depth(depth)
+            release_a.set()
             for thread in threads:
-                thread.join()
-            assert all(status == 200 for status, _ in results)
-            _, stats = harness.request("GET", "/stats")
-            batch_size = stats["metrics"]["histograms"]["server.batch_size"]
-            assert batch_size["max"] >= 2
-            assert stats["metrics"]["counters"]["server.batches"] >= 1
-
-    def test_compat_key_is_kind_workers(self):
-        config = ServerConfig(workers=0)
-        payload = {"source": SIMPLE_SOURCE}
-        assert compat_key("solve", payload, config) == ("solve", "0")
-        # Retired knobs are ignored like any other unknown field.
-        for field in ("backend", "plan"):
-            assert compat_key(
-                "solve", dict(payload, **{field: "full"}), config
-            ) == compat_key("solve", payload, config)
+                thread.join(timeout=60)
+            assert statuses == dict.fromkeys("ABCD", 200)
+        assert completed == ["A", "B", "C", "D"]
 
     @pytest.mark.parametrize("field", ["backend", "plan"])
     def test_unknown_knob_field_still_solves(self, daemon, field):

@@ -1,4 +1,4 @@
-"""Subprocess lifecycle tests: SIGTERM drain, --check-only, bad config.
+"""Subprocess lifecycle tests: SIGTERM drain, SIGKILL, --check-only.
 
 These exercise the real ``dprle serve`` entry point — signal handlers
 only install on a main-thread event loop, so the in-process harness in
@@ -49,9 +49,10 @@ def _spawn(*extra):
 def _reap(process):
     """SIGKILL the daemon's whole process group and collect its output.
 
-    A pool worker orphaned by killing only the daemon would hold the
-    stdout pipe open; the timeout turns any such leak into a failure
-    instead of a hang.
+    Pool workers exit on their own once the daemon is gone
+    (``TestSigkill``); killing the group spares the cleanup their
+    polling delay.  The timeout turns a worker that still holds the
+    stdout pipe into a failure instead of a hang.
     """
     try:
         os.killpg(process.pid, signal.SIGKILL)
@@ -81,6 +82,15 @@ def _post(port, path, body, timeout=60):
         conn.request("POST", path, body=json.dumps(body))
         response = conn.getresponse()
         return response.status, json.loads(response.read())
+    finally:
+        conn.close()
+
+
+def _stats(port):
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+    try:
+        conn.request("GET", "/stats")
+        return json.loads(conn.getresponse().read())
     finally:
         conn.close()
 
@@ -135,12 +145,10 @@ class TestCheckOnly:
 
 class TestSigtermDrain:
     def test_inflight_requests_answered_then_clean_exit(self):
-        # Widen the batch window so the burst is still queued (not yet
-        # dispatched) when SIGTERM lands — the drain must answer it all.
-        process = _spawn("--batch-window-ms", "300")
+        process = _spawn()
         try:
             port = _await_port(process)
-            text = (DATA / "wide.dprle").read_text()
+            text = (DATA / "wider.dprle").read_text()
             results = []
             lock = threading.Lock()
 
@@ -154,7 +162,12 @@ class TestSigtermDrain:
             threads = [threading.Thread(target=fire) for _ in range(6)]
             for thread in threads:
                 thread.start()
-            time.sleep(0.1)  # let requests reach the queue
+            # SIGTERM lands while jobs wait behind the running one, so
+            # the drain must answer queued work, not only in-flight work.
+            deadline = time.monotonic() + 30
+            while _stats(port)["queue_depth"] < 1:
+                assert time.monotonic() < deadline, "no job ever queued"
+                time.sleep(0.01)
             process.send_signal(signal.SIGTERM)
             for thread in threads:
                 thread.join(timeout=120)
@@ -183,6 +196,36 @@ class TestSigtermDrain:
         finally:
             if process.poll() is None:
                 _reap(process)
+
+
+class TestSigkill:
+    def test_killed_daemon_leaves_no_pool_worker(self):
+        process = _spawn("--workers", "2")
+        try:
+            port = _await_port(process)
+            status, _ = _post(
+                port, "/solve",
+                {"source": (DATA / "wide.dprle").read_text()},
+            )
+            assert status == 200
+            metrics = _stats(port)["metrics"]
+            assert any(
+                name.startswith("parallel.")
+                for series in metrics.values()
+                for name in series
+            ), "the solve never reached the worker pool"
+            process.kill()  # the daemon only, not its process group
+            process.wait(timeout=30)
+            deadline = time.monotonic() + 5
+            while True:
+                try:
+                    os.killpg(process.pid, 0)
+                except ProcessLookupError:
+                    break
+                assert time.monotonic() < deadline, "pool worker outlived daemon"
+                time.sleep(0.05)
+        finally:
+            _reap(process)
 
 
 class TestRestartWarm:
