@@ -24,11 +24,13 @@ import http.client
 import json
 import os
 import pathlib
+import queue
 import re
 import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 
 SRC = str(pathlib.Path(__file__).parent.parent / "src")
@@ -63,6 +65,14 @@ def _expect(condition: bool, message: str) -> None:
         raise SystemExit(1)
 
 
+def _forward_lines(stream, lines: queue.Queue) -> None:
+    """Copy the daemon's output into ``lines``, one line per item, then
+    ``None`` at end of output."""
+    for line in stream:
+        lines.put(line)
+    lines.put(None)
+
+
 def _session_gone(session: int) -> bool:
     """True once no process is left in the daemon's process group
     (polled for about five seconds)."""
@@ -91,17 +101,23 @@ def main() -> int:
             env=env,
             start_new_session=True,
         )
+        # A reader thread owns stdout, so every wait on the daemon's
+        # output has a timeout and a silent daemon fails the smoke.
+        lines: queue.Queue = queue.Queue()
+        threading.Thread(
+            target=_forward_lines, args=(process.stdout, lines), daemon=True
+        ).start()
         try:
             port = None
-            deadline = time.monotonic() + 30
-            while time.monotonic() < deadline:
-                line = process.stdout.readline()
-                _expect(bool(line), f"server exited early: {process.poll()}")
+            while port is None:
+                try:
+                    line = lines.get(timeout=30)
+                except queue.Empty:
+                    _expect(False, "server printed nothing for 30 s")
+                _expect(line is not None, f"server exited early: {process.poll()}")
                 match = _LISTENING.search(line)
                 if match:
                     port = int(match.group(1))
-                    break
-            _expect(port is not None, "server never printed its port")
 
             status, doc = _request(port, "GET", "/healthz")
             _expect(status == 200 and doc["ok"], f"healthz: {status} {doc}")
@@ -153,7 +169,8 @@ def main() -> int:
             print(f"stats ok -> {STATS_OUT}")
 
             process.send_signal(signal.SIGTERM)
-            out, _ = process.communicate(timeout=60)
+            process.wait(timeout=60)
+            out = "".join(iter(lambda: lines.get(timeout=60), None))
             _expect(
                 process.returncode == 0,
                 f"unclean exit {process.returncode}: {out}",
@@ -170,8 +187,7 @@ def main() -> int:
         finally:
             with contextlib.suppress(ProcessLookupError):
                 os.killpg(process.pid, signal.SIGKILL)
-            if process.poll() is None:
-                process.communicate()
+            process.wait()
     return 0
 
 

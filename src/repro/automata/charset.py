@@ -216,6 +216,11 @@ class CharSet:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self) -> tuple:
+        # Pickle by constructor: the default slot restore would go
+        # through the immutable __setattr__.
+        return (CharSet, (self.ranges,))
+
     def __bool__(self) -> bool:
         return bool(self.ranges)
 

@@ -90,13 +90,11 @@ def to_json(nfa: Nfa) -> str:
 def to_dict(nfa: Nfa) -> dict[str, Any]:
     """An id-preserving plain-dict encoding for :func:`from_dict`.
 
-    Unlike :func:`to_json`/:func:`from_json` — which renumber states
-    densely and re-mint bridge tags per call — this round-trip keeps
-    state ids exactly as they are (including the gaps ``trim`` leaves)
-    and serializes tags by label only, so external references into the
-    machine (bridge-edge ``(src, dst)`` pairs, occurrence boundaries)
-    survive a process hop.  This is the encoding the parallel GCI
-    enumeration ships to worker processes.
+    Unlike :func:`to_json`/:func:`from_json`, which renumber states
+    densely, this round-trip keeps state ids exactly as they are
+    (including the gaps ``trim`` leaves) and serializes tags by label.
+    It is the on-disk machine encoding of
+    :class:`repro.cache.store.SignatureStore`.
     """
     return {
         "alphabet": list(nfa.alphabet.universe.ranges),
@@ -117,28 +115,18 @@ def to_dict(nfa: Nfa) -> dict[str, Any]:
     }
 
 
-def from_dict(
-    doc: dict[str, Any],
-    tags: dict[str, BridgeTag] | None = None,
-    alphabet: Alphabet | None = None,
-) -> Nfa:
+def from_dict(doc: dict[str, Any]) -> Nfa:
     """Rebuild a machine encoded by :func:`to_dict`, ids intact.
 
-    ``tags`` is a shared label→tag registry: bridge tags are
-    identity-keyed throughout the solver (``edges_by_tag`` dicts,
-    occurrence boundary selectors), so every machine decoded for one
-    task must resolve a given label to the *same* ``BridgeTag`` object.
-    Pass one dict per decode batch; it is filled in as labels appear.
-    ``alphabet`` likewise lets a batch share one ``Alphabet`` instance
-    instead of re-deriving it per machine.
+    Bridge tags are minted afresh, one per label, so the machine is a
+    language-level value: tag identity is shared within it but not with
+    the machine it was encoded from.
     """
-    if alphabet is None:
-        alphabet = Alphabet(
-            CharSet([tuple(r) for r in doc["alphabet"]]),
-            name=doc.get("alphabet_name", "custom"),
-        )
-    if tags is None:
-        tags = {}
+    alphabet = Alphabet(
+        CharSet([tuple(r) for r in doc["alphabet"]]),
+        name=doc.get("alphabet_name", "custom"),
+    )
+    tags: dict[str, BridgeTag] = {}
     nfa = Nfa(alphabet)
     nfa._next_state = doc["next_state"]
     nfa._edges = {state: [] for state in doc["states"]}

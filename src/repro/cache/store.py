@@ -212,8 +212,8 @@ class SignatureStore:
         """The stored value for ``key``, or None.
 
         Machines come back through the id-preserving
-        :func:`~repro.automata.serialize.from_dict` decode with a fresh
-        tag registry — callers must treat them as language-level values
+        :func:`~repro.automata.serialize.from_dict` decode with freshly
+        minted tags — callers must treat them as language-level values
         only (which is the contract of every persisted entry class).
         """
         if not persistable(key):

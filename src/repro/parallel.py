@@ -4,11 +4,12 @@ The stage-5 enumeration of :mod:`repro.solver.gci` walks a product
 space of bridge-edge choices whose combinations are independent of one
 another — a textbook fan-out.  This module chunks the canonical
 combination index range across a :class:`~concurrent.futures.
-ProcessPoolExecutor`, ships each worker a picklable encoding of the
-prepared group (:func:`encode_group`, built on the id-preserving
-:func:`repro.automata.serialize.to_dict`), and re-assembles the
-results *in canonical index order*, so the output is byte-for-byte the
-serial enumeration's regardless of worker count or chunk boundaries.
+ProcessPoolExecutor`, ships each worker the prepared group as one
+pickle (state ids and ``BridgeTag`` identity survive it, so the bridge
+edges and occurrence boundaries stay valid references into the
+unpickled machines), and re-assembles the results *in canonical index
+order*, so the output is byte-for-byte the serial enumeration's
+regardless of worker count or chunk boundaries.
 
 Three process-boundary rules keep the workers honest:
 
@@ -36,38 +37,32 @@ workers themselves to serial — a worker never nests a pool.
 from __future__ import annotations
 
 import atexit
+import dataclasses
 import itertools
 import os
+import pickle
 import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import Future, ProcessPoolExecutor
-from dataclasses import dataclass
+from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Iterator, Optional
 
 from . import cache as cache_mod
 from . import obs
-from .automata.alphabet import Alphabet
-from .automata.charset import CharSet
-from .automata.nfa import BridgeTag, Nfa
-from .automata.serialize import from_dict, to_dict
+from .automata.nfa import Nfa
 from .constraints.depgraph import Node
 
-__all__ = [
-    "resolve_workers",
-    "parallel_candidates",
-    "encode_group",
-    "shutdown",
-]
+__all__ = ["resolve_workers", "parallel_candidates", "shutdown"]
 
 #: Groups with fewer bridge combinations than this are enumerated
-#: in-process even when workers are configured: the task encode/decode
-#: would cost more than the enumeration.
+#: in-process even when workers are configured: shipping the group and
+#: its results would cost more than the enumeration.
 MIN_PARALLEL_COMBINATIONS = 64
 
-# Chunks per worker: small enough to amortize the per-task payload
-# decode (memoized per group anyway), large enough that a straggler
-# chunk cannot idle the rest of the pool for long.
+# Chunks per worker: small enough to amortize the per-task overhead
+# (the group is unpickled once per worker anyway), large enough that a
+# straggler chunk cannot idle the rest of the pool for long.
 _CHUNKS_PER_WORKER = 4
 
 # Set in worker processes by _run_chunk; makes resolve_workers return 0
@@ -140,144 +135,25 @@ def shutdown() -> None:
 atexit.register(shutdown)
 
 
-# -- task encoding ----------------------------------------------------------
-
-_group_keys = itertools.count()
-
-
-def _enc_node(node: Node) -> tuple[str, str]:
-    return (node.kind, node.name)
-
-
-def _enc_boundary(boundary: tuple) -> list:
-    if boundary[0] == "machine":
-        return ["machine"]
-    return [boundary[0], boundary[1].label]
-
-
-def encode_group(prepared) -> dict[str, Any]:
-    """A picklable encoding of a prepared GCI group (gci._PreparedGroup).
-
-    Machines are encoded id-preserving (:func:`to_dict`) so the bridge
-    edges' ``(src, dst)`` state pairs and the occurrences' boundary
-    selectors remain valid references into the decoded machines; tags
-    travel by label and are re-minted once per decode through a shared
-    registry, restoring the identity-keying the enumeration relies on.
-    Only the machines the enumeration actually reads are shipped: the
-    occurrence tops and the leaves (maximization contexts).
-    """
-    needed = {occ.top for occ in prepared.occurrences} | prepared.leaves
-    alphabet = next(iter(prepared.machines.values())).alphabet
-    return {
-        "group_key": next(_group_keys),
-        "alphabet": list(alphabet.universe.ranges),
-        "alphabet_name": alphabet.name,
-        "machines": [
-            [_enc_node(node), to_dict(prepared.machines[node])]
-            for node in sorted(needed, key=lambda n: (n.kind, n.name))
-        ],
-        "occurrences": [
-            {
-                "node": _enc_node(occ.node),
-                "top": _enc_node(occ.top),
-                "start_of": _enc_boundary(occ.start_of),
-                "final_of": _enc_boundary(occ.final_of),
-            }
-            for occ in prepared.occurrences
-        ],
-        "tag_order": [tag.label for tag in prepared.tag_order],
-        "edges_by_tag": [
-            [tag.label, list(prepared.edges_by_tag[tag])]
-            for tag in prepared.tag_order
-        ],
-        "constraint_specs": [
-            [to_dict(const), [_enc_node(n) for n in leaf_seq]]
-            for const, leaf_seq in prepared.constraint_specs
-        ],
-        "var_nodes": [_enc_node(n) for n in prepared.var_nodes],
-        "leaves": [_enc_node(n) for n in prepared.leaves],
-        "total_combinations": prepared.total_combinations,
-        "collect": bool(obs.active_sinks()),
-    }
-
-
 # -- worker side ------------------------------------------------------------
 
-
-@dataclass
-class _WorkerState:
-    prepared: Any  # gci._PreparedGroup
-    collect: bool
-
-
-# Decoded groups, keyed by group_key, kept across tasks so the many
-# chunks of one group decode the payload once per worker process.
-_decoded: "OrderedDict[int, _WorkerState]" = OrderedDict()
-_DECODE_KEEP = 4
+# Unpickled groups, keyed by group_key, kept across tasks so the many
+# chunks of one group unpickle it once per worker process.
+_groups: "OrderedDict[int, Any]" = OrderedDict()  # gci._PreparedGroup
+_GROUPS_KEEP = 4
 
 # One language cache per worker process, warm across tasks.
 _worker_cache: Optional["cache_mod.LangCache"] = None
 
 
-def _dec_boundary(item: list, tags: dict[str, BridgeTag]) -> tuple:
-    if item[0] == "machine":
-        return ("machine",)
-    return (item[0], tags.setdefault(item[1], BridgeTag(item[1])))
-
-
-def _decode_payload(payload: dict[str, Any]) -> _WorkerState:
-    from .solver import gci
-
-    alphabet = Alphabet(
-        CharSet([tuple(r) for r in payload["alphabet"]]),
-        name=payload["alphabet_name"],
-    )
-    tags: dict[str, BridgeTag] = {}
-    machines = {
-        Node(*key): from_dict(doc, tags, alphabet)
-        for key, doc in payload["machines"]
-    }
-    occurrences = [
-        gci._Occurrence(
-            node=Node(*item["node"]),
-            top=Node(*item["top"]),
-            start_of=_dec_boundary(item["start_of"], tags),
-            final_of=_dec_boundary(item["final_of"], tags),
-        )
-        for item in payload["occurrences"]
-    ]
-    tag_order = [
-        tags.setdefault(label, BridgeTag(label))
-        for label in payload["tag_order"]
-    ]
-    edges_by_tag = {
-        tags.setdefault(label, BridgeTag(label)): [tuple(e) for e in edges]
-        for label, edges in payload["edges_by_tag"]
-    }
-    prepared = gci._PreparedGroup(
-        machines=machines,
-        occurrences=occurrences,
-        tag_order=tag_order,
-        edges_by_tag=edges_by_tag,
-        constraint_specs=[
-            (from_dict(doc, tags, alphabet), [Node(*n) for n in seq])
-            for doc, seq in payload["constraint_specs"]
-        ],
-        var_nodes=[Node(*n) for n in payload["var_nodes"]],
-        leaves={Node(*n) for n in payload["leaves"]},
-        total_combinations=payload["total_combinations"],
-    )
-    return _WorkerState(prepared, payload["collect"])
-
-
 def _run_chunk(
-    payload: dict[str, Any], start: int, stop: int
+    group_key: int, group: bytes, collect: bool, start: int, stop: int
 ) -> tuple[list, Optional[dict[str, Any]]]:
     """Worker entry point: enumerate and maximize combinations
-    ``[start, stop)``.
+    ``[start, stop)`` of the pickled prepared group.
 
     Returns ``(results, obs snapshot or None)`` where each result is
-    ``(canonical index, [encoded machine per var node])``.
+    ``(canonical index, [solution machine per var node])``.
     """
     global _IN_WORKER, _worker_cache
     _IN_WORKER = True
@@ -289,26 +165,24 @@ def _run_chunk(
 
     from .solver import gci
 
-    state = _decoded.get(payload["group_key"])
-    if state is None:
-        state = _decode_payload(payload)
-        _decoded[payload["group_key"]] = state
-        while len(_decoded) > _DECODE_KEEP:
-            _decoded.popitem(last=False)
+    prepared = _groups.get(group_key)
+    if prepared is None:
+        prepared = _groups[group_key] = pickle.loads(group)
+        while len(_groups) > _GROUPS_KEEP:
+            _groups.popitem(last=False)
     if _worker_cache is None:
         _worker_cache = cache_mod.LangCache()
 
     results: list = []
 
     def run() -> None:
-        walk = gci._iter_candidates(state.prepared, start, stop)
-        for index, solution in gci._maximized(state.prepared, walk):
-            docs = [to_dict(solution[node]) for node in state.prepared.var_nodes]
-            results.append((index, docs))
+        walk = gci._iter_candidates(prepared, start, stop)
+        for index, solution in gci._maximized(prepared, walk):
+            results.append((index, [solution[node] for node in prepared.var_nodes]))
 
     snapshot: Optional[dict[str, Any]] = None
     with _worker_cache.activate():
-        if state.collect:
+        if collect:
             with obs.collect(max_recorded_spans=64) as collector:
                 run()
             # dprle-lint: disable=L040 -- worker-side busy time folded into obs via absorb()
@@ -318,7 +192,7 @@ def _run_chunk(
                 "parallel.chunk_combinations", obs.SIZE_BUCKETS
             ).observe(stop - start)
             snapshot = collector.to_dict()
-            # Transport-only facts for the parent's _drain (popped there,
+            # Transport-only facts for the parent's drain (popped there,
             # never absorbed into parent metrics): perf_counter is
             # CLOCK_MONOTONIC, shared across fork, so started_at is
             # directly comparable with the parent's submit timestamp.
@@ -343,56 +217,73 @@ def _chunk_ranges(total: int, workers: int) -> list[tuple[int, int]]:
     return [(s, min(s + size, total)) for s in range(0, total, size)]
 
 
+_group_keys = itertools.count()
+
+
 def parallel_candidates(
-    prepared, workers: int
+    prepared, workers: int, progress: list[int]
 ) -> Iterator[tuple[int, dict[Node, Nfa]]]:
     """The parallel stage-5 producer (the fan-out branch of
     ``gci._candidates``): the in-process walk's ``(index, solution)``
     stream, same canonical order, work fanned out across the pool.
 
-    Every chunk is submitted eagerly, in canonical order, and drained in
-    the same order.  Each future is paired with its submit timestamp so
-    the drain can measure queue wait (submit → worker pickup, both on
-    the fork-shared perf_counter clock).  Closing the generator early —
-    the selector's ``max_solutions == 1`` cap — cancels every chunk that
-    has not started, which is what makes that cap bound *work* across
-    the pool, not just output.
+    The group is pickled once, with only the machines the enumeration
+    reads (the occurrence tops and the leaves).  Every chunk is
+    submitted eagerly, in canonical order, and drained in the same
+    order.  Each future is paired with its submit timestamp so the drain
+    can measure queue wait (submit → worker pickup, both on the
+    fork-shared perf_counter clock).  Closing the generator early — the
+    selector's ``max_solutions == 1`` cap — cancels every chunk that has
+    not started, which is what makes that cap bound *work* across the
+    pool, not just output.  ``progress`` is the producer's one-element
+    work count: drained chunks, and chunks already running when the
+    generator closes, add their whole range to it.
+
+    A pool that lost a worker is shut down and dropped before its
+    ``BrokenProcessPool`` propagates, so the next fan-out gets a fresh
+    pool.
     """
-    payload = encode_group(prepared)
+    needed = {occ.top for occ in prepared.occurrences} | prepared.leaves
+    shipped = dataclasses.replace(
+        prepared,
+        machines={n: m for n, m in prepared.machines.items() if n in needed},
+    )
+    group_key, group = next(_group_keys), pickle.dumps(shipped)
+    collect = bool(obs.active_sinks())
     pool = _get_pool(workers)
     ranges = _chunk_ranges(prepared.total_combinations, workers)
-    tasks = [
-        (
-            pool.submit(_run_chunk, payload, start, stop),
-            # dprle-lint: disable=L040 -- queue-entry timestamp; feeds parallel.queue_wait_seconds
-            time.perf_counter(),
-        )
-        for start, stop in ranges
-    ]
-    return _drain(prepared, ranges, tasks)
+    try:
+        tasks = [
+            (
+                pool.submit(_run_chunk, group_key, group, collect, start, stop),
+                # dprle-lint: disable=L040 -- queue-entry timestamp; feeds parallel.queue_wait_seconds
+                time.perf_counter(),
+            )
+            for start, stop in ranges
+        ]
+        yield from _drain(prepared, ranges, tasks, progress)
+    except BrokenProcessPool:
+        _pools.pop(workers, None)
+        pool.shutdown(wait=False, cancel_futures=True)
+        raise
 
 
 def _drain(
     prepared,
     ranges: list[tuple[int, int]],
     tasks: list[tuple[Future, float]],
+    progress: list[int],
 ) -> Iterator[tuple[int, dict[Node, Nfa]]]:
-    # Decoded solutions re-use the parent's tag objects and alphabet;
-    # tag identity inside a solution machine is cosmetic (the consumer
-    # only compares languages), but sharing keeps reprs coherent.
-    tags = {tag.label: tag for tag in prepared.tag_order}
-    alphabet = next(iter(prepared.machines.values())).alphabet
     # dprle-lint: disable=L040 -- drain wall-clock; feeds the parallel.utilization obs gauge
     drain_started = time.perf_counter()
     busy_by_pid: dict[int, float] = {}
     chunk_seconds: list[float] = []
-    walked = 0
     consumed = 0
     try:
         for (start, stop), (future, submitted) in zip(ranges, tasks):
             consumed += 1
             results, snapshot = future.result()
-            walked += stop - start
+            progress[0] += stop - start
             if snapshot is not None:
                 # Pop the transport record before absorbing so the
                 # parent's merged metrics stay free of raw clock values.
@@ -412,15 +303,9 @@ def _drain(
                     )
                 chunk_seconds.append(busy)
                 obs.absorb(snapshot)
-                obs.progress(
-                    "gci_enumeration", walked, prepared.total_combinations
-                )
-            for index, docs in results:
-                solution = {
-                    node: from_dict(doc, tags, alphabet)
-                    for node, doc in zip(prepared.var_nodes, docs)
-                }
-                yield index, solution
+            obs.progress("gci_enumeration", progress[0], prepared.total_combinations)
+            for index, machines in results:
+                yield index, dict(zip(prepared.var_nodes, machines))
     finally:
         for (start, stop), (future, _submitted) in zip(
             ranges[consumed:], tasks[consumed:]
@@ -429,11 +314,7 @@ def _drain(
                 # Already running (or done): that work happened; count
                 # the whole chunk.  Its telemetry snapshot is lost —
                 # the cost of not blocking on a cancelled enumeration.
-                walked += stop - start
-        obs.increment_metric("gci.combinations_enumerated", walked)
-        skipped = prepared.total_combinations - walked
-        if skipped > 0:
-            obs.increment_metric("gci.combinations_skipped", skipped)
+                progress[0] += stop - start
         if chunk_seconds:
             # Chunk skew (slowest chunk vs. mean) and pool utilization
             # (busy seconds vs. wall x observed workers) for this drain.

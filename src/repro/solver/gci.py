@@ -103,8 +103,8 @@ class GciLimits:
     to the ``DPRLE_WORKERS`` environment variable (default serial).
     Groups with fewer than ``repro.parallel.MIN_PARALLEL_COMBINATIONS``
     bridge combinations are solved in-process even when workers are
-    available — the task encode/decode would cost more than the
-    enumeration.
+    available — shipping the group and its results would cost more
+    than the enumeration.
     """
 
     max_solutions: Optional[int] = None
@@ -195,9 +195,9 @@ class _PreparedGroup:
     (:meth:`~repro.automata.nfa.Nfa.restricted`) to one computation per
     (occurrence, boundary-edge) pair.  ``barriers`` holds each top's own
     bridge tags, derived from the occurrences (every tag of a top bounds
-    one of its occurrences), so a decoded worker copy derives the same
-    sets; a slice is walked with its top's set as the barrier and so
-    stays inside its own region (see :func:`_occurrence_slice`).
+    one of its occurrences); a slice is walked with its top's set as the
+    barrier and so stays inside its own region (see
+    :func:`_occurrence_slice`).
     ``pair_memo`` memoizes the share intersections (trimmed, ``None``
     when empty) keyed by the tuple of the variable's slice keys.
 
@@ -257,19 +257,21 @@ def _candidates(
 
     A process-pool fan-out (:func:`repro.parallel.parallel_candidates`)
     when :func:`repro.parallel.resolve_workers` grants workers for this
-    space; otherwise the in-process walk.  Either path accounts walked
-    combinations into ``gci.combinations_enumerated`` /
-    ``gci.combinations_skipped``, also when the selector closes it early.
+    space; otherwise the in-process walk.  Both add the combinations
+    they walk to one ``progress`` cell, which is accounted here into
+    ``gci.combinations_enumerated`` / ``gci.combinations_skipped``, also
+    when the selector closes the producer early.
     """
     from ..parallel import parallel_candidates, resolve_workers
 
     workers = resolve_workers(limits.workers, prepared.total_combinations)
-    if workers:
-        yield from parallel_candidates(prepared, workers)
-        return
     progress = [0]
     try:
-        yield from _maximized(prepared, _iter_candidates(prepared, 0, None, progress))
+        if workers:
+            yield from parallel_candidates(prepared, workers, progress)
+        else:
+            walk = _iter_candidates(prepared, 0, None, progress)
+            yield from _maximized(prepared, walk)
     finally:
         obs.increment_metric("gci.combinations_enumerated", progress[0])
         skipped = prepared.total_combinations - progress[0]
@@ -334,7 +336,7 @@ def _iter_candidates(
             obs.increment_metric("gci.combinations_pruned", end - index)
         if progress is not None:
             # Serial path: heartbeat against the group's whole space
-            # (the parallel path reports per-chunk from _drain instead).
+            # (the parallel path reports per chunk instead).
             progress[0] += end - index
             obs.progress("gci_enumeration", progress[0], prepared.total_combinations)
         if solution is not None:

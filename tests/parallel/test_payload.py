@@ -1,16 +1,19 @@
-"""The picklable task encoding round-trips a prepared group exactly.
+"""The prepared group and its machines survive a pickle round trip.
 
-The worker protocol rests on :func:`repro.automata.serialize.to_dict`
-/ ``from_dict`` preserving state ids, so the parent's bridge-edge
-``(src, dst)`` pairs and occurrence boundary selectors stay valid
-references into the decoded machines, and on a shared tag registry
-restoring bridge-tag identity (tags are identity-hashed).
+The worker protocol ships the prepared group as one pickle.  Pickle
+keeps state ids, so the parent's bridge-edge ``(src, dst)`` pairs and
+occurrence boundary selectors stay valid references into the
+unpickled machines, and it memoizes objects within one dump, so bridge
+tags (identity-hashed) stay shared across every machine of the group.
+The store's ``to_dict`` / ``from_dict`` codec keeps state ids too.
 """
 
 import pathlib
 import pickle
 
 from repro import parallel
+from repro.automata.alphabet import Alphabet
+from repro.automata.charset import CharSet
 from repro.automata.equivalence import equivalent
 from repro.automata.nfa import BridgeTag, Nfa
 from repro.automata.serialize import from_dict, to_dict
@@ -21,6 +24,7 @@ from repro.solver import gci
 from ..helpers import AB, machine
 
 DATA = pathlib.Path(__file__).parent.parent / "data"
+FIXTURES = ("fig9.dprle", "wide.dprle")
 
 
 def _prepare(fixture: str):
@@ -44,52 +48,61 @@ class TestMachineDictRoundTrip:
         assert back._next_state == trimmed._next_state
         assert equivalent(back, trimmed)
 
-    def test_tag_registry_shares_identity(self):
+
+class TestPickleRoundTrip:
+    def test_charset_and_alphabet(self):
+        chars = CharSet([(0x61, 0x63), (0x30, 0x39)])
+        back = pickle.loads(pickle.dumps(chars))
+        assert back == chars and hash(back) == hash(chars)
+        alphabet = Alphabet(chars, name="digits-abc")
+        back = pickle.loads(pickle.dumps(alphabet))
+        assert back == alphabet and back.name == "digits-abc"
+
+    def test_tagged_machine_shares_tag_identity(self):
         tag = BridgeTag("t1")
         nfa = Nfa(AB)
-        a, b = nfa.add_states(2)
+        a, b, c = nfa.add_states(3)
         nfa.starts = {a}
-        nfa.finals = {b}
+        nfa.finals = {c}
         nfa.add_epsilon(a, b, tag=tag)
-        registry: dict[str, BridgeTag] = {}
-        first = from_dict(to_dict(nfa), registry)
-        second = from_dict(to_dict(nfa), registry)
-        (edge_a,) = [e for _, e in first.edges()]
-        (edge_b,) = [e for _, e in second.edges()]
-        assert edge_a.tag is edge_b.tag  # one mint per label per batch
+        nfa.add_epsilon(b, c, tag=tag)
+        first, second = pickle.loads(pickle.dumps([nfa, nfa.copy()]))
+        tags = {id(e.tag) for m in (first, second) for _, e in m.edges()}
+        assert len(tags) == 1  # one tag object per pickle
+        edge = next(e for _, e in first.edges())
+        assert edge.tag is not tag and edge.tag.label == "t1"
+        assert first.states == nfa.states and first.finals == nfa.finals
+        assert equivalent(first, nfa)
 
 
 class TestGroupPayload:
     def test_payload_is_picklable(self):
-        payload = parallel.encode_group(_prepare("fig9.dprle"))
-        pickle.loads(pickle.dumps(payload))
+        for fixture in FIXTURES:
+            pickle.loads(pickle.dumps(_prepare(fixture)))
 
     def test_decode_restores_enumeration(self):
-        """The decoded group enumerates the same candidates at the same
-        canonical indices with the same languages."""
-        prepared = _prepare("fig9.dprle")
-        payload = parallel.encode_group(prepared)
-        state = parallel._decode_payload(payload)
+        """The unpickled group enumerates the same candidates at the
+        same canonical indices with the same languages."""
+        for fixture in FIXTURES:
+            prepared = _prepare(fixture)
+            back = pickle.loads(pickle.dumps(prepared))
 
-        assert [t.label for t in state.prepared.tag_order] == [
-            t.label for t in prepared.tag_order
-        ]
-        assert state.prepared.var_nodes == prepared.var_nodes
-        assert state.prepared.total_combinations == prepared.total_combinations
-        for tag, decoded_tag in zip(
-            prepared.tag_order, state.prepared.tag_order
-        ):
-            assert (
-                state.prepared.edges_by_tag[decoded_tag]
-                == prepared.edges_by_tag[tag]
-            )
+            assert [t.label for t in back.tag_order] == [
+                t.label for t in prepared.tag_order
+            ], fixture
+            assert back.var_nodes == prepared.var_nodes
+            assert back.total_combinations == prepared.total_combinations
+            for tag, back_tag in zip(prepared.tag_order, back.tag_order):
+                assert (
+                    back.edges_by_tag[back_tag] == prepared.edges_by_tag[tag]
+                )
 
-        original = list(gci._iter_candidates(prepared, 0, None))
-        decoded = list(gci._iter_candidates(state.prepared, 0, None))
-        assert [i for i, _ in decoded] == [i for i, _ in original]
-        for (_, a), (_, b) in zip(original, decoded):
-            for node, m in a.items():
-                assert equivalent(m, b[node]), node
+            original = list(gci._iter_candidates(prepared, 0, None))
+            restored = list(gci._iter_candidates(back, 0, None))
+            assert [i for i, _ in restored] == [i for i, _ in original]
+            for (_, a), (_, b) in zip(original, restored):
+                for node, m in a.items():
+                    assert equivalent(m, b[node]), (fixture, node)
 
     def test_chunked_union_equals_whole(self):
         prepared = _prepare("wide.dprle")
