@@ -19,9 +19,11 @@ from typing import Optional
 
 from .. import obs
 from ..automata.alphabet import BYTE_ALPHABET, Alphabet
+from ..automata.analysis import shortest_string
 from ..php.cfg import build_cfg
 from ..php.parser import parse_php
 from ..php.symexec import DEFAULT_SINKS, SinkQuery, SymbolicExecutor
+from ..solver.assignments import render_language
 from ..solver.gci import GciLimits
 from ..solver.worklist import solve
 from .attacks import CONTAINS_QUOTE, AttackSpec
@@ -93,8 +95,9 @@ def analyze_source(
     queries are neither solved nor reported.
 
     ``render_languages`` additionally converts each satisfying language
-    to regex text (state elimination) — informative but not free, so it
-    is off by default.
+    to regex text (:func:`~repro.solver.assignments.render_language`,
+    the same text ``dprle solve`` prints) — informative but not free,
+    so it is off by default.
 
     ``check`` runs the :mod:`repro.check` pre-solve analyzer over each
     sink's constraint system and attaches its diagnostics to the
@@ -190,25 +193,13 @@ def _solve_query(
                 machine = assignment[name]
             if machine is None:
                 continue
-            witness = shortest_string_of(machine)
+            witness = shortest_string(machine)
             if witness is not None:
                 finding.exploit_inputs[name] = witness
             if render_languages:
-                finding.input_languages[name] = _render_language(machine)
+                finding.input_languages[name] = render_language(machine)
         break
     return finding
-
-
-def shortest_string_of(machine):
-    from ..automata.analysis import shortest_string
-
-    return shortest_string(machine)
-
-
-def _render_language(machine) -> str:
-    from ..regex import nfa_to_regex, simplify, unparse
-
-    return unparse(simplify(nfa_to_regex(machine)), universe=machine.alphabet.universe)
 
 
 def _refine_through_transducers(query: SinkQuery, assignment):

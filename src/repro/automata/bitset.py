@@ -21,11 +21,12 @@ frontier propagation:
   walking the pair worklist in a fixed LIFO order, so the output
   structure (states, intern order, bridge tags) is a function of the
   operands alone; a backward walk then trims the output in place.
-* **Hopcroft** refines an integer partition array (element/location/
-  block-index arrays with marked-prefix splitting and a smaller-half
-  rule generalized to multi-way splits) over sparse per-state move
-  rows whose labels are minterm masks, splitting on every distinct
-  incoming mask of a splitter block at once.
+* **Hopcroft** refines a partition held as a list of member sets plus
+  a block-of array.  Per-state move rows are merged by target and
+  labelled with minterm masks; a splitter block ORs together each
+  predecessor's entering mask and splits every touched block on
+  every distinct mask at once (multi-way), queueing all parts but
+  the largest (the smaller-half rule, generalized).
 * **Universal quotients** work on a :class:`Residual` — a complete DFA
   whose states are residual languages — as state masks: a forward
   image (:func:`post`), a backward universal mask (:func:`pre`) and a
@@ -364,14 +365,15 @@ def minimize_dfa(dfa: Dfa) -> Dfa:
 
     Instead of expanding the label alphabet into ``m`` explicit
     symbols and refining per symbol (cost ``O(m · n log n)``), each
-    refinement round accumulates, per predecessor of the splitter
+    refinement round ORs together, per predecessor of the splitter
     block, the *mask* of minterms on which it enters the splitter.
     Members of a block with different masks are behaviourally
     distinct, so one pass splits the block into one part per
     distinct mask (plus the untouched remainder) — the multi-way
-    split of symbolic-automata minimization.  Each edge is touched
-    ``O(log n)`` times total (generalized smaller-half rule: when a
-    block splits, all parts but the largest join the worklist).
+    split of symbolic-automata minimization.  The largest part keeps
+    the block id and every other part joins the worklist (the
+    smaller-half rule, generalized), so each edge is touched
+    ``O(log n)`` times in total.
     """
     dfa_transitions = dfa.transitions
     # Reachable states, BFS order; dense renumbering.
@@ -395,240 +397,89 @@ def minimize_dfa(dfa: Dfa) -> Dfa:
             f"incomplete DFA: no move from {dfa.start} on "
             f"{space.uncovered.min_char()!r}"
         )
-    full = space.full
-    label_mask = space.label_mask
 
-    # Per-state move rows as (minterm mask, dense target) — computed
-    # once, reused by the in-edge index below and the quotient at
-    # the end — with a completeness check on the way (the machine
-    # must partition the universe at every state).
-    move_rows: list[list[tuple[int, int]]] = []
+    # Per-state move rows {dense target: minterm mask}, merged by
+    # target, and the in-edge index over them; the machine must
+    # partition the universe at every state.
+    rows: list[dict[int, int]] = []
     in_edges: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    # Labels repeat heavily across DFA rows (determinize interns
-    # them per minterm mask), so an identity-keyed fast path in
-    # front of the value-keyed memo skips most CharSet hashing.
-    # The label is kept in the entry so a stale id can never alias.
-    masks_by_id: dict[int, tuple[CharSet, int]] = {}
     for i, state in enumerate(states):
-        covered = 0
-        row: list[tuple[int, int]] = []
-        prev_j = -1
-        by_target = True
+        row: dict[int, int] = {}
         for label, dst in dfa_transitions[state]:
-            entry = masks_by_id.get(id(label))
-            if entry is not None and entry[0] is label:
-                mask = entry[1]
-            else:
-                mask = label_mask(label)
-                masks_by_id[id(label)] = (label, mask)
-            covered |= mask
             j = idx[dst]
-            if j <= prev_j:
-                by_target = False
-            prev_j = j
-            row.append((mask, j))
-        if covered != full:
-            missing = full & ~covered
+            row[j] = row.get(j, 0) | space.label_mask(label)
+        covered = 0
+        for j, mask in row.items():
+            covered |= mask
+            in_edges[j].append((i, mask))
+        if covered != space.full:
+            missing = space.full & ~covered
             k = (missing & -missing).bit_length() - 1
             raise ValueError(
                 f"incomplete DFA: no move from {state} on "
                 f"{space.reps[k]!r}"
             )
-        if not by_target:
-            # Row not strictly ascending by target: merge duplicate
-            # targets so each (source, target) appears once in the
-            # in-edge index (the singleton-splitter fast path in
-            # the refinement loop relies on that).
-            merged: dict[int, int] = {}
-            for mask, j in row:
-                merged[j] = merged.get(j, 0) | mask
-            row = [(mask, j) for j, mask in merged.items()]
-        for mask, j in row:
-            in_edges[j].append((i, mask))
-        move_rows.append(row)
+        rows.append(row)
 
-    # The integer partition: elems holds all states grouped by
-    # block, loc inverts it, [first, end) delimits each block.
-    finals_members = [i for i in range(n) if states[i] in dfa.finals]
-    finals_set = set(finals_members)
-    nonfinal_members = [i for i in range(n) if i not in finals_set]
-    elems: list[int] = []
-    first: list[int] = []
-    end: list[int] = []
+    finals = {i for i, state in enumerate(states) if state in dfa.finals}
+    blocks = [part for part in (set(finals), set(range(n)) - finals) if part]
     block_of = [0] * n
-    for members in (finals_members, nonfinal_members):
-        if not members:
-            continue
-        first.append(len(elems))
-        for member in members:
-            block_of[member] = len(first) - 1
-            elems.append(member)
-        end.append(len(elems))
-    loc = [0] * n
-    for position, member in enumerate(elems):
-        loc[member] = position
-
-    work: deque[int] = deque(range(len(first)))
-    in_work = [True] * len(first)
-    # Flat per-source accumulator (sources are dense ints): masks
-    # OR in by list index, `touched_sources` remembers which slots
-    # to drain — no per-edge dict hashing in the hot loop.
-    acc_mask = [0] * n
+    for b, members in enumerate(blocks):
+        for i in members:
+            block_of[i] = b
+    work: deque[int] = deque(range(len(blocks)))
 
     while work:
-        splitter_idx = work.popleft()
-        in_work[splitter_idx] = False
-        touched: dict[int, dict[int, list[int]]] = {}
-        lo_s = first[splitter_idx]
-        if end[splitter_idx] - lo_s == 1:
-            # Singleton splitter (the common case once refinement
-            # gets going): each source appears at most once in the
-            # target's in-edge row, so group directly — no
-            # accumulator pass.
-            for source, mask in in_edges[elems[lo_s]]:
-                block = block_of[source]
-                groups = touched.get(block)
-                if groups is None:
-                    touched[block] = {mask: [source]}
-                    continue
-                members = groups.get(mask)
-                if members is None:
-                    groups[mask] = [source]
-                else:
-                    members.append(source)
-        else:
-            # Snapshot: the splitter's members may migrate below.
-            splitter = elems[lo_s : end[splitter_idx]]
-            touched_sources: list[int] = []
-            append_source = touched_sources.append
-            for target in splitter:
-                for source, mask in in_edges[target]:
-                    prior = acc_mask[source]
-                    if prior:
-                        acc_mask[source] = prior | mask
-                    else:
-                        acc_mask[source] = mask
-                        append_source(source)
-            for source in touched_sources:
-                mask = acc_mask[source]
-                acc_mask[source] = 0
-                block = block_of[source]
-                groups = touched.get(block)
-                if groups is None:
-                    touched[block] = {mask: [source]}
-                    continue
-                members = groups.get(mask)
-                if members is None:
-                    groups[mask] = [source]
-                else:
-                    members.append(source)
-        for block, groups in touched.items():
-            lo = first[block]
-            hi = end[block]
-            size = hi - lo
-            marked = 0
-            for group in groups.values():
-                marked += len(group)
-            if len(groups) == 1 and marked == size:
-                continue  # every member behaves alike: no split
-            # Multi-way split: pack each mask group into its own
-            # slice of the block's range (the unmarked remainder
-            # keeps the original block index).
-            cursor = hi
-            parts = [block]
-            for group in groups.values():
-                cursor -= len(group)
-                for offset, source in enumerate(group):
-                    i = loc[source]
-                    j = cursor + offset
-                    if i != j:
-                        other = elems[j]
-                        elems[i] = other
-                        elems[j] = source
-                        loc[other] = i
-                        loc[source] = j
-                new_idx = len(first)
-                first.append(cursor)
-                end.append(cursor + len(group))
-                in_work.append(False)
-                for source in group:
-                    block_of[source] = new_idx
-                parts.append(new_idx)
-            end[block] = cursor  # remainder (may be empty)
-            if cursor == lo:
-                # No unmarked remainder: the original index is an
-                # empty shell; drop it from the parts on offer.
-                parts.pop(0)
-                largest = max(
-                    parts, key=lambda b: end[b] - first[b]
-                )
-                if in_work[block]:
-                    # It was pending under its old extent: every
-                    # part must stay pending.
-                    in_work[block] = False
-                    largest = -1
-            else:
-                largest = (
-                    -1
-                    if in_work[block]
-                    else max(parts, key=lambda b: end[b] - first[b])
-                )
-            # Generalized smaller-half rule: everything but the
-            # largest part joins the worklist; when the split block
-            # was itself pending, all parts do.
+        entering: dict[int, int] = {}
+        for target in blocks[work.popleft()]:
+            for source, mask in in_edges[target]:
+                entering[source] = entering.get(source, 0) | mask
+        touched: dict[int, dict[int, set[int]]] = {}
+        for source, mask in entering.items():
+            groups = touched.setdefault(block_of[source], {})
+            groups.setdefault(mask, set()).add(source)
+        for b, groups in touched.items():
+            parts = list(groups.values())
+            rest = blocks[b]
+            if len(parts) == 1 and len(parts[0]) == len(rest):
+                continue  # every member enters alike: no split
             for part in parts:
-                if part != largest and not in_work[part]:
-                    work.append(part)
-                    in_work[part] = True
+                rest -= part
+            if rest:
+                parts.append(rest)
+            largest = max(parts, key=len)
+            blocks[b] = largest
+            for part in parts:
+                if part is not largest:
+                    for i in part:
+                        block_of[i] = len(blocks)
+                    work.append(len(blocks))
+                    blocks.append(part)
 
     # Quotient machine, renumbered canonically: BFS from the start
-    # block with successors discovered in ascending label order (the
-    # same canonical numbering language signatures use).  Moves come
-    # from each block representative's move row — already merged by
-    # target — not from an m-wide symbol table; fully-split empty
-    # shells are simply never discovered (no state maps to them).
-    charset = space.charset
-    charsets_get = space._charsets.get
-    finals = dfa.finals
-    start_block = block_of[idx[dfa.start]]
-    order_of: dict[int, int] = {start_block: 0}
-    queue = [start_block]
+    # block with successors discovered in ascending label order.
+    # Minterm masks of distinct target blocks are disjoint, so the
+    # lowest set bit (= lowest character) orders them.
+    order_of = {block_of[0]: 0}
+    queue = [block_of[0]]
     transitions: dict[int, list[tuple[CharSet, int]]] = {}
     new_finals: set[int] = set()
-    for new_id, block in enumerate(queue):
-        rep = elems[first[block]]
-        acc2: dict[int, int] = {}
-        for mask, j in move_rows[rep]:
-            target_block = block_of[j]
-            have = acc2.get(target_block)
-            acc2[target_block] = mask if have is None else have | mask
-        # Minterm masks of distinct targets are disjoint, so the
-        # lowest set bit (= lowest character) is a unique, cheap
-        # integer sort key for ascending-label order.
-        moves = [
-            (mask & -mask, mask, target_block)
-            for target_block, mask in acc2.items()
-        ]
+    for new_id, b in enumerate(queue):
+        rep = min(blocks[b])
+        merged: dict[int, int] = {}
+        for j, mask in rows[rep].items():
+            merged[block_of[j]] = merged.get(block_of[j], 0) | mask
+        moves: list[tuple[int, int]] = []
+        for _, mask, target in sorted(
+            [(m & -m, m, t) for t, m in merged.items()]
+        ):
+            if target not in order_of:
+                order_of[target] = len(queue)
+                queue.append(target)
+            moves.append((order_of[target], mask))
         moves.sort()
-        row: list[tuple[int, int]] = []
-        for _, mask, target_block in moves:
-            target_id = order_of.get(target_block)
-            if target_id is None:
-                target_id = len(queue)
-                order_of[target_block] = target_id
-                queue.append(target_block)
-            row.append((target_id, mask))
-        row.sort()
-        transitions[new_id] = [
-            (
-                label
-                if (label := charsets_get(mask)) is not None
-                else charset(mask),
-                dst,
-            )
-            for dst, mask in row
-        ]
-        if states[rep] in finals:
+        transitions[new_id] = [(space.charset(m), dst) for dst, m in moves]
+        if rep in finals:
             new_finals.add(new_id)
     return dfa_mod.Dfa(dfa.alphabet, transitions, 0, new_finals)
 

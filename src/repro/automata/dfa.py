@@ -166,10 +166,10 @@ def minimize_nfa(nfa: Nfa) -> Nfa:
     """Canonical minimal *deterministic* machine for ``L(nfa)``, as an NFA.
 
     This is the intermediate-machine minimization the paper suggests
-    (Sec. 4) as a remedy for the ``secure`` outlier; the ablation
-    benchmark toggles it.  Memoized by the active language cache under
-    the input's structural digest, so rendering the same answer twice
-    (a daemon's repeated query) minimizes it once.
+    (Sec. 4) as a remedy for the ``secure`` outlier.  Memoized by the
+    active language cache under the input's structural digest, so
+    rendering the same answer twice (a daemon's repeated query)
+    minimizes it once.
     """
     cache = active_cache()
     if cache is not None:

@@ -15,12 +15,28 @@ from ..automata.dfa import minimize_nfa
 from ..automata.equivalence import equivalent
 from ..automata.nfa import Nfa
 from ..regex import nfa_to_regex, simplify, unparse
-from ..regex.ast import Regex
 
 if TYPE_CHECKING:
     from ..obs import Collector
 
-__all__ = ["Assignment", "SolutionSet"]
+__all__ = ["Assignment", "SolutionSet", "render_language"]
+
+
+def render_language(machine: Nfa) -> str:
+    """The language of ``machine`` rendered as pattern text.
+
+    The one rendering path: ``dprle solve``, the daemon and the
+    analyzer's ``Finding.input_languages`` all print through it.  The
+    machine is minimized (determinize + Hopcroft) before state
+    elimination: language-preserving, and both the elimination and the
+    rendered pattern are much smaller on the raw sliced machines the
+    solver produces.
+    """
+    if not machine.is_empty():
+        machine = minimize_nfa(machine)
+    return unparse(
+        simplify(nfa_to_regex(machine)), universe=machine.alphabet.universe
+    )
 
 
 class Assignment:
@@ -81,23 +97,10 @@ class Assignment:
             )
         )
 
-    def regex(self, name: str) -> Regex:
-        """The assigned language as a simplified regex AST.
-
-        The machine is minimized (determinize + Hopcroft) before state
-        elimination: language-preserving, and both the elimination and
-        the rendered pattern are much smaller on the raw sliced
-        machines the solver produces.
-        """
-        machine = self._machines[name]
-        if not machine.is_empty():
-            machine = minimize_nfa(machine)
-        return simplify(nfa_to_regex(machine))
-
     def regex_str(self, name: str) -> str:
-        """The assigned language rendered as pattern text."""
-        machine = self._machines[name]
-        return unparse(self.regex(name), universe=machine.alphabet.universe)
+        """The assigned language rendered as pattern text (see
+        :func:`render_language`)."""
+        return render_language(self._machines[name])
 
     def same_languages(self, other: "Assignment") -> bool:
         """Language-level equality against another assignment."""

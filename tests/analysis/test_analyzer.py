@@ -7,6 +7,12 @@ from repro.analysis import (
     TAUTOLOGY,
     analyze_source,
 )
+from repro.automata.equivalence import equivalent
+from repro.php.cfg import build_cfg
+from repro.php.parser import parse_php
+from repro.php.symexec import SymbolicExecutor
+from repro.regex import parse_exact, to_nfa
+from repro.solver import solve
 
 FIG1 = r"""<?php
 $newsid = $_POST['posted_newsid'];
@@ -50,6 +56,20 @@ class TestFigure1:
         assert not plain.findings[0].input_languages
         rendered = analyze_source(FIG1, "n.php", render_languages=True)
         assert rendered.findings[0].input_languages
+
+    def test_rendered_language_matches_solver_rendering(self):
+        # The analyzer renders through the same (minimizing) path as
+        # Assignment.regex_str, so both print the same text for the
+        # same solve.
+        report = analyze_source(FIG1, "n.php", render_languages=True)
+        text = report.first_vulnerable.input_languages["post_posted_newsid"]
+        cfg = build_cfg(parse_php(FIG1, "n.php"))
+        executor = SymbolicExecutor(CONTAINS_QUOTE.machine())
+        query = executor.run_cfg(cfg)[0]
+        solved = solve(query.problem(), query=query.inputs, max_solutions=1).first
+        assert text == solved.regex_str("post_posted_newsid")
+        machine = solved.machine("post_posted_newsid")
+        assert equivalent(to_nfa(parse_exact(text)), machine)
 
 
 class TestAttackSpecs:

@@ -2,23 +2,23 @@
 
 The bitset kernels must be *observationally identical* to the
 straightforward set-based constructions (see docs/BACKENDS.md):
-determinize and the trimmed product are pinned structure-identical
-(same states, numbering, edges, bridge tags), Hopcroft language-equal
-with the same minimal state count, the residual passes mask-identical,
-and both universal quotients language-equal to the constructions they
-replaced.
+determinize, the trimmed product and Hopcroft are pinned
+structure-identical (same states, numbering, edges, bridge tags), the
+residual passes mask-identical, and both universal quotients
+language-equal to the constructions they replaced.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.automata import bitset, ops, serialize
+from repro.automata import Alphabet, CharSet, bitset, ops, serialize
 from repro.automata.backend import active_backend
 from repro.automata.dfa import determinize, minimize_nfa
 from repro.automata.equivalence import equivalent
 from repro.automata.nfa import Nfa
 from repro.automata.ops import concat, union
+from repro.regex import parse_exact, to_nfa
 
 from .. import oracle
 from ..helpers import AB, language
@@ -28,6 +28,9 @@ from ..prop.strategies import machines
 def test_active_backend_name_is_str():
     # Benchmarks record it next to their numbers.
     assert isinstance(active_backend().name, str)
+
+
+ABCD = Alphabet(CharSet.of("abcd"), name="abcd")
 
 
 def _sample_machines() -> list[Nfa]:
@@ -86,6 +89,24 @@ class TestKernelEquivalence:
         broken.transitions[broken.start] = broken.transitions[broken.start][:1]
         with pytest.raises(ValueError, match="incomplete DFA"):
             bitset.minimize_dfa(broken)
+
+    @pytest.mark.parametrize(
+        "pattern, alphabet",
+        [
+            ("(a|b)*a(a|b){10}", AB),  # 2,049 -> 2,048 states
+            # A 602-state chain (-> 302), where the smaller-half rule
+            # decides which parts of each split are queued.
+            ("(a|b){300}", AB),
+            # Four minterms: one split is three-way, and a two-way
+            # split there leaves a 10-state machine, not 12.
+            ("(ab|ba|c)*d(a|b|c){7}", ABCD),
+        ],
+    )
+    def test_minimize_large_dfa_structure_identical(self, pattern, alphabet):
+        dfa = bitset.determinize(to_nfa(parse_exact(pattern, alphabet), alphabet))
+        ref = oracle.minimize_dfa(dfa)
+        bit = bitset.minimize_dfa(dfa)
+        assert serialize.to_dict(ref.to_nfa()) == serialize.to_dict(bit.to_nfa())
 
     @settings(max_examples=40, deadline=None)
     @given(
